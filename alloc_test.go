@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/workload"
 	"repro/trace"
 )
 
@@ -147,5 +148,45 @@ func TestIngestorPutSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs >= 0.01 {
 		t.Fatalf("Ingestor.Put allocates %.4f objects/call, want 0", allocs)
+	}
+}
+
+// TestHistogramIngestSteadyStateAllocs pins the shared-histogram ingest
+// path: Pipeline.ProcessBatch over the demo trio and a standalone
+// FreqEstimator allocate nothing per item once their tables and scratch
+// have grown. What remains is a per-batch constant — the fan-out's
+// goroutines and closures, the row fork-join closures of the levels
+// large enough to fork — so the same ceiling must hold at 4096-key and
+// at 32768-key batches.
+func TestHistogramIngestSteadyStateAllocs(t *testing.T) {
+	freq, err := New(KindFreq, WithEpsilon(0.001))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, target := range []struct {
+		name    string
+		process func([]uint64) error
+		ceiling float64 // allocations per batch
+	}{
+		{"pipeline-trio", demoTrio(t).ProcessBatch, 64},
+		{"freq-standalone", freq.ProcessBatch, 0},
+	} {
+		for _, n := range []int{4096, 32768} {
+			items := workload.Zipf(int64(n), n, 1.1, 1<<18)
+			for i := 0; i < 3; i++ { // grow tables, candidate tails, roll-up buffers
+				if err := target.process(items); err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				if err := target.process(items); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > target.ceiling {
+				t.Fatalf("%s, %d-key batches: %.0f allocations per batch, want <= %.0f at any batch size",
+					target.name, n, allocs, target.ceiling)
+			}
+		}
 	}
 }

@@ -317,3 +317,62 @@ func BenchmarkE12ShardedIngest(b *testing.B) {
 		}
 	})
 }
+
+// demoTrio builds aggserve's default pipeline: hot=freq,eps=0.001;
+// sketch=count-min,eps=1e-4,seed=7; dist=count-min-range,bits=20.
+func demoTrio(tb testing.TB) *Pipeline {
+	tb.Helper()
+	p := NewPipeline()
+	for _, m := range []struct {
+		name string
+		kind Kind
+		opts []Option
+	}{
+		{"hot", KindFreq, []Option{WithEpsilon(0.001)}},
+		{"sketch", KindCountMin, []Option{WithEpsilon(1e-4), WithSeed(7)}},
+		{"dist", KindCountMinRange, []Option{WithUniverseBits(20)}},
+	} {
+		if _, err := p.Add(m.name, m.kind, m.opts...); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return p
+}
+
+// BenchmarkPipelineTrio shows what sharing the minibatch histogram
+// saves: the demo trio fed 32768-key zipf batches through
+// Pipeline.ProcessBatch (one histogram, fanned out) against the same
+// three aggregates fed one after another, each building its own.
+func BenchmarkPipelineTrio(b *testing.B) {
+	const batch = 1 << 15
+	bs := workload.Batches(workload.Zipf(91, 1<<21, 1.1, 1<<18), batch)
+	run := func(b *testing.B, process func(items []uint64) error) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := process(bs[i%len(bs)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/batch, "ns/item")
+	}
+	b.Run("pipeline", func(b *testing.B) {
+		run(b, demoTrio(b).ProcessBatch)
+	})
+	b.Run("members-standalone", func(b *testing.B) {
+		p := demoTrio(b)
+		var aggs []Aggregate
+		for _, name := range p.Names() {
+			agg, _ := p.Get(name)
+			aggs = append(aggs, agg)
+		}
+		run(b, func(items []uint64) error {
+			for _, agg := range aggs {
+				if err := agg.ProcessBatch(items); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	})
+}

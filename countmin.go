@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cms"
+	"repro/internal/hist"
 )
 
 // CountMin is the parallel count-min sketch (Theorem 6.1): point queries
@@ -34,6 +35,12 @@ func (c *CountMin) Kind() Kind { return KindCountMin }
 func (c *CountMin) ProcessBatch(items []uint64) error {
 	c.ingest(len(items), func() { c.impl.ProcessBatch(items) })
 	return nil
+}
+
+// processHist ingests a minibatch of n items given as its histogram
+// (histIngester).
+func (c *CountMin) processHist(n int, h []hist.Entry) {
+	c.ingest(n, func() { c.impl.AddHistogram(h) })
 }
 
 // Update adds count occurrences of item (sequential path; count may be
@@ -125,6 +132,12 @@ func (c *CountMinRange) Kind() Kind { return KindCountMinRange }
 func (c *CountMinRange) ProcessBatch(items []uint64) error {
 	c.ingest(len(items), func() { c.impl.ProcessBatch(items) })
 	return nil
+}
+
+// processHist ingests a minibatch of n items given as its histogram
+// (histIngester).
+func (c *CountMinRange) processHist(n int, h []hist.Entry) {
+	c.ingest(n, func() { c.impl.AddHistogram(h) })
 }
 
 // RangeCount estimates the number of items in [lo, hi] (inclusive); it

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/countsketch"
+	"repro/internal/hist"
 )
 
 // CountSketch is the Count-Sketch of [CCFC02] (cited by the paper as the
@@ -35,6 +36,12 @@ func (c *CountSketch) Kind() Kind { return KindCountSketch }
 func (c *CountSketch) ProcessBatch(items []uint64) error {
 	c.ingest(len(items), func() { c.impl.ProcessBatch(items) })
 	return nil
+}
+
+// processHist ingests a minibatch of n items given as its histogram
+// (histIngester).
+func (c *CountSketch) processHist(n int, h []hist.Entry) {
+	c.ingest(n, func() { c.impl.AddHistogram(h) })
 }
 
 // Update adds count occurrences of item; count may be negative

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/hist"
 	"repro/internal/mg"
 )
 
@@ -41,6 +42,12 @@ func (f *FreqEstimator) Kind() Kind { return KindFreq }
 func (f *FreqEstimator) ProcessBatch(items []uint64) error {
 	f.ingest(len(items), func() { f.impl.ProcessBatch(items) })
 	return nil
+}
+
+// processHist ingests a minibatch of n items given as its histogram
+// (histIngester).
+func (f *FreqEstimator) processHist(n int, h []hist.Entry) {
+	f.ingest(n, func() { f.impl.AddHistogram(h) })
 }
 
 // Estimate returns the frequency estimate for item:

@@ -150,7 +150,8 @@ func (s *Sketch) Update(item uint64, count int64) {
 }
 
 // ProcessBatch ingests a minibatch of items with the parallel algorithm
-// of Theorem 6.1.
+// of Theorem 6.1: one pass of the resident histogram builder, then
+// AddHistogram.
 //
 //agglint:hotpath
 func (s *Sketch) ProcessBatch(items []uint64) {
@@ -158,19 +159,14 @@ func (s *Sketch) ProcessBatch(items []uint64) {
 		return
 	}
 	s.seed++
-	if s.scheme == SchemeDerived {
-		s.AddHistogram(s.hb.Build(items, s.seed^0x636d73))
-		return
-	}
-	h := hist.Build(items, s.seed^0x636d73)
-	s.AddHistogram(h)
+	s.AddHistogram(s.hb.Build(items, s.seed^0x636d73))
 }
 
-// AddHistogram folds a precomputed histogram into the sketch. Under the
-// derived scheme the base-hash pair is computed once per entry (into
-// reused scratch) and each row is folded by a single owner goroutine —
-// one hash per item, zero allocations in steady state. The legacy
-// scheme keeps the per-row column sort of the CRCW-combining
+// AddHistogram folds a precomputed histogram into the sketch; h is only
+// read. Under the derived scheme the base-hash pair is computed once per
+// entry (into reused scratch) and each row is folded by a single owner
+// goroutine — one hash per item, zero allocations in steady state. The
+// legacy scheme keeps the per-row column sort of the CRCW-combining
 // simulation.
 //
 //agglint:hotpath
@@ -205,17 +201,40 @@ func grow(buf *[]uint64, n int) []uint64 {
 //agglint:hotpath
 func (s *Sketch) addHistogramDerived(h []hist.Entry) {
 	p := len(h)
-	g1 := grow(&s.g1, p)
-	g2 := grow(&s.g2, p)
-	parallel.ForGrain(p, parallel.DefaultGrain, func(j int) {
-		g1[j], g2[j] = s.base.Base(h[j].Item)
-	})
-	parallel.ForGrain(s.d, 1, func(i int) {
+	grow(&s.g1, p)
+	grow(&s.g2, p)
+	if p*s.d < parallel.MinFork {
+		// Too few cell updates to pay for a fork-join (the upper levels
+		// of a dyadic stack carry a handful of entries each).
+		s.hashEntries(h, 0, p)
+		s.foldRows(h, 0, s.d)
+		return
+	}
+	parallel.Blocks(p, parallel.DefaultGrain, func(lo, hi int) { s.hashEntries(h, lo, hi) })
+	parallel.Blocks(s.d, 1, func(lo, hi int) { s.foldRows(h, lo, hi) })
+}
+
+// hashEntries fills the base-hash scratch for entries [lo, hi) of h.
+//
+//agglint:hotpath
+func (s *Sketch) hashEntries(h []hist.Entry, lo, hi int) {
+	for j := lo; j < hi; j++ {
+		s.g1[j], s.g2[j] = s.base.Base(h[j].Item)
+	}
+}
+
+// foldRows adds h into rows [lo, hi), one row at a time; the caller is
+// those rows' only writer.
+//
+//agglint:hotpath
+func (s *Sketch) foldRows(h []hist.Entry, lo, hi int) {
+	g1, g2 := s.g1, s.g2
+	for i := lo; i < hi; i++ {
 		row := s.rows[i]
 		for j, en := range h {
 			row[s.base.Row(g1[j], g2[j], i)] += en.Freq
 		}
-	})
+	}
 }
 
 func (s *Sketch) addHistogramLegacy(h []hist.Entry) {

@@ -1,18 +1,32 @@
 package cms
 
+import "repro/internal/hist"
+
 // Dyadic range structure: one sketch per dyadic level, supporting range
 // counts and approximate quantiles — the standard CM-sketch applications
 // the paper cites (point and range queries, quantiles). Level l sketches
 // the stream with items truncated to their high bits (item >> l), so any
 // interval [lo, hi] decomposes into O(log U) dyadic nodes, one or two per
 // level.
+//
+// Ingestion builds the minibatch histogram once and sorts it by item;
+// level l+1's histogram is then level l's with every item shifted right
+// one bit and equal neighbours merged (hist.Halve). The per-level
+// histograms shrink geometrically, so the whole stack costs O(µ) for the
+// histogram plus O(Σ_l D_l) for D_l distinct items at level l, not
+// O(bits·µ).
 
 // RangeSketch answers approximate range-count and quantile queries over a
 // universe of size 2^bits.
 type RangeSketch struct {
-	bits    int
-	levels  []*Sketch
-	shifted []uint64 // per-batch scratch for the truncated-item stream
+	bits   int
+	levels []*Sketch
+
+	// Batch scratch, reused across calls under the caller's write gate:
+	// ProcessBatch's histogram builder and the two buffers successive
+	// level histograms alternate between.
+	hb   hist.Builder
+	roll [2][]hist.Entry
 }
 
 // NewRange creates a dyadic range sketch over the universe [0, 2^bits)
@@ -42,23 +56,35 @@ func (r *RangeSketch) Update(item uint64, count int64) {
 	}
 }
 
-// ProcessBatch ingests a minibatch into every level in parallel. Each
-// level uses the parallel histogram-based ingestion.
+// ProcessBatch ingests a minibatch into every level: one histogram of
+// the batch, then AddHistogram. The table hash is salted with level 0's
+// rolling seed, as when each level histogrammed for itself.
+//
+//agglint:hotpath
 func (r *RangeSketch) ProcessBatch(items []uint64) {
 	if len(items) == 0 {
 		return
 	}
-	shifted := grow(&r.shifted, len(items))
+	base := r.levels[0]
+	base.seed++
+	r.AddHistogram(r.hb.Build(items, base.seed^0x636d73))
+}
+
+// AddHistogram folds the histogram of a minibatch (one entry per
+// distinct item) into every level, level by level: level 0 takes h
+// sorted by item, and each level above takes the one below, halved. h is
+// only read.
+//
+//agglint:hotpath
+func (r *RangeSketch) AddHistogram(h []hist.Entry) {
+	cur, next := hist.SortByItem(h, r.roll[0], r.roll[1])
 	for l, s := range r.levels {
-		if l == 0 {
-			s.ProcessBatch(items)
-			continue
+		if l > 0 {
+			cur, next = hist.Halve(next[:0], cur), cur
 		}
-		for i, it := range items {
-			shifted[i] = it >> uint(l)
-		}
-		s.ProcessBatch(shifted)
+		s.AddHistogram(cur)
 	}
+	r.roll[0], r.roll[1] = cur, next // keep the grown buffers
 }
 
 // RangeCount estimates the number of stream items in [lo, hi]

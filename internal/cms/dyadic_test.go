@@ -128,3 +128,73 @@ func TestRangeAccessors(t *testing.T) {
 		t.Fatalf("TotalCount = %d", r.TotalCount())
 	}
 }
+
+// TestRangeRollupMatchesPerLevelHistograms pins the dyadic roll-up to the
+// formulation it replaced: level l is a count-min sketch, seeded
+// seed+977·l, of the stream item>>l, each level histogramming the raw
+// batch for itself. Cells must agree exactly at every level, for the
+// shift edge cases (a 1-bit universe, the demo's 20 bits, the 63-bit
+// maximum where the top level shifts everything to 0) and across the
+// sort-based fallback for batches too large for the resident table.
+func TestRangeRollupMatchesPerLevelHistograms(t *testing.T) {
+	const eps, delta, seed = 0.01, 0.05, 11
+	rng := rand.New(rand.NewSource(17))
+	zipf := rand.NewZipf(rng, 1.1, 1, 1<<18)
+	for _, tc := range []struct {
+		bits  int
+		sizes []int
+		draw  func() uint64
+	}{
+		{1, []int{0, 1, 63, 700}, func() uint64 { return uint64(rng.Intn(2)) }},
+		{20, []int{0, 1, 63, 8192, 1<<17 + 1}, zipf.Uint64},
+		{63, []int{1, 63, 2000}, func() uint64 { return rng.Uint64() >> uint(rng.Intn(64)) }},
+	} {
+		r := NewRange(tc.bits, eps, delta, seed)
+		ref := make([]*Sketch, tc.bits+1)
+		for l := range ref {
+			ref[l] = New(eps, delta, seed+int64(l)*977)
+		}
+		for _, n := range tc.sizes {
+			items := make([]uint64, n)
+			for i := range items {
+				items[i] = tc.draw()
+			}
+			r.ProcessBatch(items)
+			shifted := make([]uint64, n)
+			for l, s := range ref {
+				for i, it := range items {
+					shifted[i] = it >> uint(l)
+				}
+				s.ProcessBatch(shifted)
+			}
+		}
+		for l, s := range ref {
+			got, want := r.levels[l].State(), s.State()
+			if got.M != want.M {
+				t.Fatalf("bits=%d level %d: total %d want %d", tc.bits, l, got.M, want.M)
+			}
+			for c := range want.Cells {
+				if got.Cells[c] != want.Cells[c] {
+					t.Fatalf("bits=%d level %d cell %d: %d want %d", tc.bits, l, c, got.Cells[c], want.Cells[c])
+				}
+			}
+		}
+	}
+}
+
+func TestRangeProcessBatchZeroAllocSteadyState(t *testing.T) {
+	r := NewRange(20, 0.01, 0.05, 3)
+	rng := rand.New(rand.NewSource(4))
+	items := make([]uint64, 8192)
+	for i := range items {
+		items[i] = uint64(rng.Intn(1 << 18))
+	}
+	r.ProcessBatch(items) // grow the builder table, roll-up buffers, row scratch
+	allocs := testing.AllocsPerRun(10, func() { r.ProcessBatch(items) })
+	// AllocsPerRun pins GOMAXPROCS to 1, so the row fork-joins run
+	// inline; what is left is their closures, a few per level that is
+	// large enough to fork.
+	if perItem := allocs / float64(len(items)); perItem >= 0.01 {
+		t.Fatalf("range sketch ingest allocates %.4f objects/item (%.0f/batch), want < 0.01", perItem, allocs)
+	}
+}

@@ -151,10 +151,8 @@ func grow(buf *[]uint64, n int) []uint64 {
 	return *buf
 }
 
-// ProcessBatch ingests a minibatch in parallel: histogram, then one base
-// hash per distinct item with each row folded by a single owner
-// goroutine (derived scheme, zero steady-state allocations), or the
-// legacy per-row column grouping for restored old-scheme sketches.
+// ProcessBatch ingests a minibatch in parallel: one pass of the resident
+// histogram builder, then AddHistogram.
 //
 //agglint:hotpath
 func (s *Sketch) ProcessBatch(items []uint64) {
@@ -162,12 +160,23 @@ func (s *Sketch) ProcessBatch(items []uint64) {
 		return
 	}
 	s.seed++
-	var h []hist.Entry
+	s.AddHistogram(s.hb.Build(items, s.seed^0x6373))
+}
+
+// AddHistogram folds a precomputed histogram (one entry per distinct
+// item) into the sketch; h is only read. Derived scheme: one base hash
+// per entry with each row folded by a single owner goroutine, zero
+// steady-state allocations. Restored old-scheme sketches keep the legacy
+// per-row column grouping.
+//
+//agglint:hotpath
+func (s *Sketch) AddHistogram(h []hist.Entry) {
+	if len(h) == 0 {
+		return
+	}
 	if s.scheme == SchemeDerived {
-		h = s.hb.Build(items, s.seed^0x6373)
 		s.processDerived(h)
 	} else {
-		h = hist.Build(items, s.seed^0x6373)
 		s.processLegacy(h)
 	}
 	for _, en := range h {
@@ -178,19 +187,42 @@ func (s *Sketch) ProcessBatch(items []uint64) {
 //agglint:hotpath
 func (s *Sketch) processDerived(h []hist.Entry) {
 	p := len(h)
-	g1 := grow(&s.g1, p)
-	g2 := grow(&s.g2, p)
-	sw := grow(&s.sw, p)
-	parallel.ForGrain(p, parallel.DefaultGrain, func(j int) {
-		g1[j], g2[j] = s.base.Base(h[j].Item)
-		sw[j] = s.base.SignWord(g1[j], g2[j])
-	})
-	parallel.ForGrain(s.d, 1, func(i int) {
+	grow(&s.g1, p)
+	grow(&s.g2, p)
+	grow(&s.sw, p)
+	if p*s.d < parallel.MinFork {
+		// Too few cell updates to pay for a fork-join.
+		s.hashEntries(h, 0, p)
+		s.foldRows(h, 0, s.d)
+		return
+	}
+	parallel.Blocks(p, parallel.DefaultGrain, func(lo, hi int) { s.hashEntries(h, lo, hi) })
+	parallel.Blocks(s.d, 1, func(lo, hi int) { s.foldRows(h, lo, hi) })
+}
+
+// hashEntries fills the base-hash and sign-word scratch for entries
+// [lo, hi) of h.
+//
+//agglint:hotpath
+func (s *Sketch) hashEntries(h []hist.Entry, lo, hi int) {
+	for j := lo; j < hi; j++ {
+		s.g1[j], s.g2[j] = s.base.Base(h[j].Item)
+		s.sw[j] = s.base.SignWord(s.g1[j], s.g2[j])
+	}
+}
+
+// foldRows adds h, signed, into rows [lo, hi), one row at a time; the
+// caller is those rows' only writer.
+//
+//agglint:hotpath
+func (s *Sketch) foldRows(h []hist.Entry, lo, hi int) {
+	g1, g2, sw := s.g1, s.g2, s.sw
+	for i := lo; i < hi; i++ {
 		row := s.rows[i]
 		for j, en := range h {
 			row[s.base.Row(g1[j], g2[j], i)] += signFromWord(sw[j], i) * en.Freq
 		}
-	})
+	}
 }
 
 func (s *Sketch) processLegacy(h []hist.Entry) {

@@ -20,8 +20,9 @@ const maxTableItems = 1 << 17
 // flush worker is the caller and the sketch rows below it provide the
 // parallelism. Batches beyond maxTableItems fall back to Build.
 //
-// A Builder is owned by one sketch and used under its write gate; it is
-// not safe for concurrent use. The zero value is ready.
+// A Builder is owned by one sketch or one Pipeline and used under its
+// write gate; it is not safe for concurrent use. The zero value is ready
+// and allocates nothing until its first batch.
 type Builder struct {
 	item []uint64 // open-addressing table: key slots
 	freq []int64  // parallel counts; freq[j] == 0 means slot j is empty

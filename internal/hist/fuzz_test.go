@@ -3,11 +3,15 @@ package hist
 import "testing"
 
 // FuzzBuild checks the parallel histogram against a map on arbitrary
-// small-universe item streams (bytes = items, so collisions abound).
+// small-universe item streams (bytes = items, so collisions abound), and
+// the resident Builder plus the dyadic roll-up (SortByItem, Halve)
+// against re-histogramming item>>l at every level of a byte's universe.
 func FuzzBuild(f *testing.F) {
 	f.Add([]byte{}, int64(1))
 	f.Add([]byte{1, 1, 2, 3}, int64(7))
 	f.Add([]byte("the quick brown fox jumps over the lazy dog"), int64(42))
+	f.Add([]byte{0, 0, 0}, int64(3))                    // one entry, no bits to sort by
+	f.Add([]byte{254, 255, 255, 128, 127, 1}, int64(9)) // neighbours that merge at different levels
 	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
 		items := make([]uint64, len(data))
 		want := make(map[uint64]int64)
@@ -30,5 +34,9 @@ func FuzzBuild(f *testing.F) {
 				t.Fatalf("item %d: %d want %d", it, got[it], fr)
 			}
 		}
+		var b Builder
+		h := b.Build(items, seed)
+		checkAgainstRef(t, items, h)
+		checkLevels(t, items, h, 8)
 	})
 }

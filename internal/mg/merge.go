@@ -8,17 +8,13 @@ import "repro/internal/hist"
 // the shared-structure summary a drop-in for distributed aggregation
 // too). The merged summary keeps capacity S = max of the two and
 // preserves the combined guarantee f_e - (m1+m2)/S <= Estimate(e) <= f_e.
-// The merge itself reuses the parallel MGaugment machinery: combining and
-// pruning in O(S) work and polylog depth — so a log p-deep merge tree
-// over p summaries has polylog·log p total depth, in contrast to the
-// sequential-merge bottleneck of Section 5.4's strawman.
+// The merge itself is MGaugment with the other summary's counters as the
+// histogram: combining and pruning in O(S) work. o is only read.
 func (g *Summary) Merge(o *Summary) {
 	if o.capS > g.capS {
 		g.capS = o.capS
 	}
-	entries := make([]hist.Entry, len(o.entries))
-	copy(entries, o.entries)
-	g.AugmentHist(entries)
+	g.AugmentHist(o.entries)
 	g.m += o.m
 }
 
@@ -29,6 +25,6 @@ func (g *Summary) Clone() *Summary {
 	copy(c.entries, g.entries)
 	c.m = g.m
 	c.seed = g.seed + 0x9e37
-	c.rebuildIndex()
+	c.reindex()
 	return c
 }

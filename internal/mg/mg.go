@@ -9,10 +9,18 @@
 // count and keep the positive ones. Each unit of ϕ corresponds to a batch
 // of decrements hitting more than S distinct counters, so the classic MG
 // accounting (Lemma 5.1) gives f_e - εm <= Estimate(e) <= f_e. Total cost
-// per minibatch: O(ε⁻¹ + µ) expected work, polylog depth (Theorem 5.2).
+// per minibatch: O(ε⁻¹ + µ) expected work (Theorem 5.2).
+//
+// The implementation keeps the work bound and, like hist.Builder, trades
+// the theorem's polylog depth for compact allocation-free passes: the
+// histogram comes from the resident table builder, the combine step is a
+// lookup in an index of the live counters, and the cutoff is an in-place
+// quickselect. The sort-based formulation (hist.Combine, parallel rank
+// selection and pack) is kept as the reference in this package's tests.
 package mg
 
 import (
+	"repro/internal/hashfn"
 	"repro/internal/hist"
 	"repro/internal/parallel"
 )
@@ -20,10 +28,16 @@ import (
 // Summary is a Misra-Gries summary maintained over minibatches.
 type Summary struct {
 	capS    int
-	entries []hist.Entry     // at most capS live counters
-	index   map[uint64]int64 // item -> counter, rebuilt per batch
-	m       int64            // stream length observed so far
-	seed    int64            // hash seed sequence for buildHist
+	entries []hist.Entry // at most capS live counters
+	// slots is an open-addressing index over entries: a slot holds the
+	// position+1 of an item's counter, 0 when empty. It is rebuilt only
+	// when a batch changes which items are tracked.
+	slots []int32
+	m     int64 // stream length observed so far
+	seed  int64 // rolling salt for the batch histogram's table hash
+
+	hb    hist.Builder // ProcessBatch's resident histogram builder
+	freqs []int64      // scratch for the cutoff selection
 }
 
 // New creates a summary with error parameter epsilon in (0, 1]:
@@ -44,7 +58,7 @@ func NewWithCapacity(s int) *Summary {
 	if s < 1 {
 		panic("mg: capacity must be >= 1")
 	}
-	return &Summary{capS: s, index: make(map[uint64]int64), seed: 0x6d67}
+	return &Summary{capS: s, seed: 0x6d67}
 }
 
 // Capacity returns S, the maximum number of counters.
@@ -53,49 +67,134 @@ func (g *Summary) Capacity() int { return g.capS }
 // StreamLen returns the number of items observed so far.
 func (g *Summary) StreamLen() int64 { return g.m }
 
-// ProcessBatch ingests a minibatch of items (Theorem 5.2).
+// ProcessBatch ingests a minibatch of items (Theorem 5.2): one pass of
+// the resident histogram builder, then AddHistogram.
+//
+//agglint:hotpath
 func (g *Summary) ProcessBatch(items []uint64) {
 	if len(items) == 0 {
 		return
 	}
 	g.seed++
-	h := hist.Build(items, g.seed)
+	g.AddHistogram(g.hb.Build(items, g.seed))
+}
+
+// AddHistogram ingests a minibatch given as its histogram (one entry per
+// distinct item, positive frequencies): MGaugment, plus the stream
+// length the histogram accounts for. h is only read.
+//
+//agglint:hotpath
+func (g *Summary) AddHistogram(h []hist.Entry) {
 	g.AugmentHist(h)
-	g.m += int64(len(items))
+	for _, e := range h {
+		g.m += e.Freq
+	}
 }
 
 // AugmentHist merges a pre-computed histogram into the summary
-// (MGaugment, Lemma 5.3). The histogram must have one entry per distinct
-// item. Callers other than ProcessBatch must bump m themselves.
+// (MGaugment, Lemma 5.3) without advancing the stream length. The
+// histogram must have one entry per distinct item and is only read.
+//
+// The combine step looks each batch entry up in the index of the <= S
+// live counters — adding to the counter when the item is tracked,
+// appending a candidate when it is not — so it costs O(len(h)) plus,
+// only when the tracked set changes, O(S) for the cutoff and the index.
+// ϕ and the kept counters are exactly those of the sort-based
+// hist.Combine formulation; only their order differs.
+//
+//agglint:hotpath
 func (g *Summary) AugmentHist(h []hist.Entry) {
-	g.seed++
-	combined := hist.Combine(append(g.entries, h...), g.seed)
+	tracked := len(g.entries)
+	for _, e := range h {
+		if p := g.find(e.Item); p >= 0 {
+			g.entries[p].Freq += e.Freq
+		} else {
+			g.entries = append(g.entries, e)
+		}
+	}
+	combined := g.entries
+	if len(combined) == tracked {
+		return // every batch item was already tracked: no counter can die
+	}
 	phi := int64(0)
 	if len(combined) > g.capS {
 		// ϕ = (S+1)-st largest combined count: subtracting it everywhere
 		// kills all but at most S counters, and every unit subtracted
 		// decrements > S distinct counters (Lemma 5.3's accounting).
-		freqs := parallel.Map(len(combined), func(i int) int64 { return combined[i].Freq })
-		phi = parallel.KthLargest(freqs, g.capS+1)
+		if cap(g.freqs) < len(combined) {
+			g.freqs = make([]int64, len(combined))
+		}
+		freqs := g.freqs[:len(combined)]
+		for i, e := range combined {
+			freqs[i] = e.Freq
+		}
+		phi = parallel.SelectKthSeq(freqs, len(freqs)-(g.capS+1))
 	}
-	kept := parallel.Pack(combined, func(i int) bool { return combined[i].Freq > phi })
-	parallel.ForGrain(len(kept), parallel.DefaultGrain, func(i int) {
-		kept[i].Freq -= phi
-	})
+	kept := combined[:0]
+	for _, e := range combined {
+		if e.Freq > phi {
+			kept = append(kept, hist.Entry{Item: e.Item, Freq: e.Freq - phi})
+		}
+	}
 	g.entries = kept
-	g.rebuildIndex()
+	g.reindex()
 }
 
-func (g *Summary) rebuildIndex() {
-	clear(g.index)
-	for _, e := range g.entries {
-		g.index[e.Item] = e.Freq
+// slotOf returns the home slot of item in a table with the given mask.
+func slotOf(item, mask uint64) uint64 { return hashfn.Mix64(item^0x6d67) & mask }
+
+// find returns the position of item's counter in entries, or -1.
+//
+//agglint:hotpath
+func (g *Summary) find(item uint64) int {
+	if len(g.slots) == 0 {
+		return -1
+	}
+	mask := uint64(len(g.slots) - 1)
+	for j := slotOf(item, mask); ; j = (j + 1) & mask {
+		p := g.slots[j]
+		if p == 0 {
+			return -1
+		}
+		if g.entries[p-1].Item == item {
+			return int(p - 1)
+		}
+	}
+}
+
+// reindex rebuilds the index over entries: a power-of-two table at load
+// factor <= 1/4 (most batch lookups miss, and a miss probes to the first
+// empty slot), reallocated only when the summary outgrows it.
+//
+//agglint:hotpath
+func (g *Summary) reindex() {
+	if need := 4 * len(g.entries); len(g.slots) < need {
+		size := 16
+		for size < need {
+			size <<= 1
+		}
+		g.slots = make([]int32, size)
+	} else {
+		clear(g.slots)
+	}
+	mask := uint64(len(g.slots) - 1)
+	for i, e := range g.entries {
+		j := slotOf(e.Item, mask)
+		for g.slots[j] != 0 {
+			j = (j + 1) & mask
+		}
+		g.slots[j] = int32(i + 1)
 	}
 }
 
 // Estimate returns the summary's estimate for item e, satisfying
 // f_e - εm <= Estimate(e) <= f_e (0 for items not tracked).
-func (g *Summary) Estimate(e uint64) int64 { return g.index[e] }
+func (g *Summary) Estimate(e uint64) int64 {
+	if p := g.find(e); p >= 0 {
+		return g.entries[p].Freq
+	}
+	return 0
+}
 
 // Entries returns the live counters (at most S), in arbitrary order. The
 // caller must not modify the returned slice.

@@ -39,6 +39,6 @@ func FromState(st State) (*Summary, error) {
 	g.m = st.M
 	g.seed = st.Seed
 	g.entries = append([]hist.Entry(nil), st.Entries...)
-	g.rebuildIndex()
+	g.reindex()
 	return g, nil
 }

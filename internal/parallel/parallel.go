@@ -41,6 +41,14 @@ func SetWorkers(p int) int {
 // larger grain via Blocks.
 const DefaultGrain = 1 << 11
 
+// MinFork is the smallest total amount of work (loop-body units of a few
+// nanoseconds, summed over all iterations) worth a fork-join at all:
+// below it, starting and waking even two goroutines costs more than the
+// loop. Callers whose iteration count alone does not say how much work a
+// loop holds (a handful of rows, each over a short histogram) compare
+// against it and run inline.
+const MinFork = 1 << 14
+
 // splitCount returns how many chunks to split n units of work into, given a
 // minimum grain per chunk.
 func splitCount(n, grain int) int {

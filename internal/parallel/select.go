@@ -28,7 +28,7 @@ func SelectKth(xs []int64, k int) int64 {
 	for {
 		n := len(xs)
 		if n <= 2048 {
-			return selectSeq(xs, k)
+			return SelectKthSeq(xs, k)
 		}
 		pivot := xs[rng.next()%uint64(n)]
 		// Three-way parallel partition by counting then packing.
@@ -49,8 +49,15 @@ func SelectKth(xs []int64, k int) int64 {
 	}
 }
 
-// selectSeq is an in-place sequential quickselect used for small ranges.
-func selectSeq(xs []int64, k int) int64 {
+// SelectKthSeq is SelectKth as an in-place sequential quickselect: no
+// forks and no allocation. SelectKth finishes with it on small ranges;
+// callers on an allocation-free path use it directly.
+//
+//agglint:hotpath
+func SelectKthSeq(xs []int64, k int) int64 {
+	if k < 0 || k >= len(xs) {
+		panic("parallel: SelectKthSeq rank out of range")
+	}
 	lo, hi := 0, len(xs)-1
 	rng := splitmix64{s: uint64(len(xs)) ^ 0xabcdef}
 	for {

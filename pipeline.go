@@ -3,11 +3,21 @@ package streamagg
 // Pipeline runs many aggregates over one discretized stream — the
 // deployment shape the paper's model targets (and the one Spark-style
 // systems use in production): a single sequence of minibatches fans out
-// to every registered aggregate, each aggregate's internally-parallel
-// ingestion running in its own goroutine on the shared worker budget
-// (SetParallelism / internal/parallel), queries are answered through one
-// keyed surface, and the whole pipeline checkpoints atomically at a
-// minibatch boundary.
+// to every registered aggregate, queries are answered through one keyed
+// surface, and the whole pipeline checkpoints atomically at a minibatch
+// boundary.
+//
+// Ingestion follows the paper's recipe literally: buildHist once per
+// minibatch (Theorem 2.3), then fold the histogram into each summary —
+// MGaugment for the Misra-Gries estimator (Lemma 5.3), per-row adds for
+// the sketches (Theorem 6.1). The pipeline builds that histogram itself
+// and hands the same read-only slice to every member that can consume
+// one (FreqEstimator, CountMin, CountMinRange, CountSketch); the
+// order-dependent kinds (BasicCounter, WindowSum, SlidingFreqEstimator,
+// Sharded) get the raw items. On a long minibatch the members run
+// concurrently, one goroutine each, on the shared worker budget
+// (SetParallelism / internal/parallel); a short one is not worth the
+// hand-offs and runs member by member on the caller.
 //
 // Concurrency model. ProcessBatch calls are serialized with each other
 // and with MarshalBinary (so a checkpoint always captures all aggregates
@@ -19,6 +29,9 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/hist"
+	"repro/internal/parallel"
 )
 
 // ErrNoSuchAggregate reports a query for a name with no registered
@@ -29,16 +42,53 @@ var ErrNoSuchAggregate = errors.New("streamagg: no aggregate registered under th
 // answer (e.g. HeavyHitters on a WindowSum).
 var ErrUnsupportedQuery = errors.New("streamagg: aggregate does not support this query")
 
+// histIngester is implemented by the kinds whose summary after a
+// minibatch depends only on the batch's histogram, so a Pipeline can
+// build it once for all of them. processHist ingests a minibatch of n
+// items given as h, one entry per distinct item; h is shared between
+// members and must only be read.
+type histIngester interface {
+	processHist(n int, h []hist.Entry)
+}
+
+var (
+	_ histIngester = (*FreqEstimator)(nil)
+	_ histIngester = (*CountMin)(nil)
+	_ histIngester = (*CountMinRange)(nil)
+	_ histIngester = (*CountSketch)(nil)
+)
+
+// member is one registered aggregate; hist is agg's histIngester side,
+// nil for the kinds that need the raw items.
+type member struct {
+	name string
+	agg  Aggregate
+	hist histIngester
+}
+
+func newMember(name string, agg Aggregate) member {
+	hi, _ := agg.(histIngester)
+	return member{name: name, agg: agg, hist: hi}
+}
+
 // Pipeline fans each incoming minibatch out to a set of named
 // aggregates and exposes a unified keyed query surface over them. The
 // zero value is an empty pipeline ready for use (and for
 // UnmarshalBinary).
 type Pipeline struct {
-	reg       sync.RWMutex // guards names/aggs (the registration table)
-	batch     sync.Mutex   // serializes ingestion and checkpointing
-	names     []string     // registration order, for deterministic iteration
+	reg   sync.RWMutex // guards members/aggs (the registration table)
+	batch sync.Mutex   // serializes ingestion and checkpointing
+	// members is the registration table in registration order. It is
+	// replaced, never modified in place, so a reader that loaded it under
+	// reg may keep using it after unlocking.
+	members   []member
 	aggs      map[string]Aggregate
 	streamLen atomic.Int64
+
+	// The shared minibatch histogram's builder and its rolling table
+	// salt, used under batch.
+	hb       hist.Builder
+	histSeed int64
 }
 
 // NewPipeline creates an empty pipeline.
@@ -62,7 +112,8 @@ func (p *Pipeline) Register(name string, agg Aggregate) error {
 		p.aggs = make(map[string]Aggregate)
 	}
 	p.aggs[name] = agg
-	p.names = append(p.names, name)
+	n := len(p.members)
+	p.members = append(p.members[:n:n], newMember(name, agg))
 	return nil
 }
 
@@ -89,55 +140,81 @@ func (p *Pipeline) Get(name string) (Aggregate, bool) {
 
 // Names returns the registered names in registration order.
 func (p *Pipeline) Names() []string {
-	p.reg.RLock()
-	defer p.reg.RUnlock()
-	out := make([]string, len(p.names))
-	copy(out, p.names)
+	ms := p.snapshot()
+	out := make([]string, len(ms))
+	for i, m := range ms {
+		out[i] = m.name
+	}
 	return out
 }
 
 // Len returns the number of registered aggregates.
-func (p *Pipeline) Len() int {
+func (p *Pipeline) Len() int { return len(p.snapshot()) }
+
+// snapshot returns the registration table as of now; the slice is
+// immutable, so callers iterate it without holding the table lock.
+func (p *Pipeline) snapshot() []member {
 	p.reg.RLock()
 	defer p.reg.RUnlock()
-	return len(p.names)
+	return p.members
 }
 
-// snapshot copies the registration table so fan-out runs without
-// holding the table lock.
-func (p *Pipeline) snapshot() (names []string, aggs []Aggregate) {
-	p.reg.RLock()
-	defer p.reg.RUnlock()
-	names = make([]string, len(p.names))
-	copy(names, p.names)
-	aggs = make([]Aggregate, len(names))
-	for i, n := range names {
-		aggs[i] = p.aggs[n]
-	}
-	return names, aggs
-}
-
-// ProcessBatch fans the minibatch out to every registered aggregate
-// concurrently — one goroutine per aggregate, each running its own
-// internally-parallel ingestion on the shared worker budget — and
-// returns once all of them have absorbed it. Per-aggregate failures
+// ProcessBatch fans the minibatch out to every registered aggregate and
+// returns once all of them have absorbed it. The minibatch's histogram
+// is built once, here, for the members that ingest histograms; the
+// others receive the raw items. Per-aggregate failures
 // (only WindowSum can fail, on an out-of-bound value) are joined into
 // one error, tagged with the aggregate's name; failed aggregates ingest
 // nothing while the others proceed.
 func (p *Pipeline) ProcessBatch(items []uint64) error {
 	p.batch.Lock()
 	defer p.batch.Unlock()
-	names, aggs := p.snapshot()
-	errs := make([]error, len(aggs))
-	var wg sync.WaitGroup
-	for i, agg := range aggs {
-		wg.Add(1)
-		go func(i int, agg Aggregate) {
-			defer wg.Done()
-			if err := agg.ProcessBatch(items); err != nil {
-				errs[i] = fmt.Errorf("%s: %w", names[i], err)
+	ms := p.snapshot()
+	var h []hist.Entry
+	for _, m := range ms {
+		if m.hist != nil {
+			p.histSeed++
+			h = p.hb.Build(items, p.histSeed)
+			break
+		}
+	}
+	var (
+		errMu sync.Mutex
+		errs  []error // allocated on the first failure, indexed like ms
+	)
+	ingest := func(i int) {
+		m := ms[i]
+		if m.hist != nil {
+			m.hist.processHist(len(items), h)
+			return
+		}
+		if err := m.agg.ProcessBatch(items); err != nil {
+			errMu.Lock()
+			if errs == nil {
+				errs = make([]error, len(ms))
 			}
-		}(i, agg)
+			errs[i] = fmt.Errorf("%s: %w", m.name, err)
+			errMu.Unlock()
+		}
+	}
+	// Members get goroutines of their own only for a long minibatch.
+	// Handing a short one to other Ps costs wake-ups and takes those Ps
+	// from whoever else is running (the request handlers feeding the
+	// Ingestor in front of this pipeline) to shorten a flush nobody is
+	// waiting on: an Ingestor's batches outgrow its flush threshold only
+	// once the sink is the bottleneck. The caller's goroutine takes the
+	// last member either way.
+	var wg sync.WaitGroup
+	for i := range ms {
+		if i == len(ms)-1 || len(items) < parallel.MinFork {
+			ingest(i)
+			continue
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ingest(i)
+		}(i)
 	}
 	wg.Wait()
 	p.streamLen.Add(int64(len(items)))
@@ -150,10 +227,9 @@ func (p *Pipeline) StreamLen() int64 { return p.streamLen.Load() }
 // SpaceWords reports the summed memory footprint of all registered
 // aggregates in 64-bit words.
 func (p *Pipeline) SpaceWords() int {
-	_, aggs := p.snapshot()
 	total := 0
-	for _, agg := range aggs {
-		total += agg.SpaceWords()
+	for _, m := range p.snapshot() {
+		total += m.agg.SpaceWords()
 	}
 	return total
 }
@@ -288,18 +364,17 @@ func (p *Pipeline) Merge(other *Pipeline) error {
 	}
 	p.batch.Lock()
 	defer p.batch.Unlock()
-	names, aggs := p.snapshot()
 	type pair struct {
 		name     string
 		dst, src Aggregate
 	}
 	var pairs []pair
-	for i, name := range names {
+	for _, m := range p.snapshot() {
+		name, dst := m.name, m.agg
 		src, ok := other.Get(name)
 		if !ok {
 			continue
 		}
-		dst := aggs[i]
 		if dst.Kind() != src.Kind() {
 			return fmt.Errorf("%w: aggregate %q is %s here but %s in the merged pipeline",
 				ErrIncompatibleMerge, name, dst.Kind(), src.Kind())
@@ -389,14 +464,14 @@ type pipelineState struct {
 func (p *Pipeline) MarshalBinary() ([]byte, error) {
 	p.batch.Lock()
 	defer p.batch.Unlock()
-	names, aggs := p.snapshot()
-	st := pipelineState{Names: names}
-	for i, agg := range aggs {
-		ckpt, err := agg.MarshalBinary()
+	var st pipelineState
+	for _, m := range p.snapshot() {
+		ckpt, err := m.agg.MarshalBinary()
 		if err != nil {
-			return nil, fmt.Errorf("streamagg: checkpointing pipeline aggregate %q: %w", names[i], err)
+			return nil, fmt.Errorf("streamagg: checkpointing pipeline aggregate %q: %w", m.name, err)
 		}
-		st.Kinds = append(st.Kinds, string(agg.Kind()))
+		st.Names = append(st.Names, m.name)
+		st.Kinds = append(st.Kinds, string(m.agg.Kind()))
 		st.Checkpoints = append(st.Checkpoints, ckpt)
 	}
 	return seal(kindPipeline, p.streamLen.Load(), st)
@@ -416,7 +491,7 @@ func (p *Pipeline) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("%w: pipeline checkpoint tables disagree", ErrBadParam)
 	}
 	aggs := make(map[string]Aggregate, len(st.Names))
-	names := make([]string, 0, len(st.Names))
+	members := make([]member, 0, len(st.Names))
 	for i, name := range st.Names {
 		agg, err := zeroAggregate(Kind(st.Kinds[i]))
 		if err != nil {
@@ -429,14 +504,14 @@ func (p *Pipeline) UnmarshalBinary(data []byte) error {
 			return fmt.Errorf("%w: pipeline checkpoint repeats name %q", ErrBadParam, name)
 		}
 		aggs[name] = agg
-		names = append(names, name)
+		members = append(members, newMember(name, agg))
 	}
 	p.batch.Lock()
 	defer p.batch.Unlock()
 	p.reg.Lock()
 	defer p.reg.Unlock()
 	p.aggs = aggs
-	p.names = names
+	p.members = members
 	p.streamLen.Store(env.StreamLen)
 	return nil
 }

@@ -297,7 +297,9 @@ func TestPipelineQueryErrors(t *testing.T) {
 }
 
 // A failing aggregate (WindowSum on an out-of-bound value) reports its
-// name, ingests nothing, and does not stop its siblings.
+// name, ingests nothing, and does not stop its siblings — neither the
+// ones fed the shared histogram nor the ones fed the raw items. Several
+// failures are joined in registration order.
 func TestPipelinePartialFailure(t *testing.T) {
 	p := NewPipeline()
 	if _, err := p.Add("sum", KindWindowSum, WithWindow(100), WithMaxValue(10)); err != nil {
@@ -306,19 +308,41 @@ func TestPipelinePartialFailure(t *testing.T) {
 	if _, err := p.Add("freq", KindFreq); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := p.Add("recent", KindSlidingFreq, WithWindow(100)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Add("sum2", KindWindowSum, WithWindow(100), WithMaxValue(50)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Add("cm", KindCountMin); err != nil {
+		t.Fatal(err)
+	}
 	err := p.ProcessBatch([]uint64{1, 2, 99})
 	if !errors.Is(err, ErrBadParam) {
 		t.Fatalf("overflow not reported: %v", err)
 	}
-	if !strings.Contains(err.Error(), "sum") {
-		t.Fatalf("error not tagged with the aggregate name: %v", err)
+	first, second := strings.Index(err.Error(), "sum: "), strings.Index(err.Error(), "sum2: ")
+	if first < 0 || second < first {
+		t.Fatalf("error does not name both failed aggregates in registration order: %v", err)
 	}
-	v, err := p.Value("sum")
-	if err != nil || v != 0 {
-		t.Fatalf("failed aggregate ingested anyway: %d, %v", v, err)
+	for _, name := range []string{"freq", "recent", "cm"} {
+		if strings.Contains(err.Error(), name+": ") {
+			t.Fatalf("error blames %s: %v", name, err)
+		}
+		if e, err := p.Estimate(name, 1); err != nil || e != 1 {
+			t.Fatalf("sibling %s did not ingest: %d, %v", name, e, err)
+		}
 	}
-	if e, err := p.Estimate("freq", 1); err != nil || e != 1 {
-		t.Fatalf("sibling did not ingest: %d, %v", e, err)
+	for _, name := range []string{"sum", "sum2"} {
+		if v, err := p.Value(name); err != nil || v != 0 {
+			t.Fatalf("failed aggregate %s ingested anyway: %d, %v", name, v, err)
+		}
+	}
+	if p.StreamLen() != 3 {
+		t.Fatalf("StreamLen = %d, want 3", p.StreamLen())
+	}
+	if err := p.ProcessBatch([]uint64{1, 2, 3}); err != nil {
+		t.Fatalf("in-bound batch after a failed one: %v", err)
 	}
 }
 

@@ -330,7 +330,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	req := &sc.req
 	var err error
 	if trimmed := bytes.TrimLeft(body, " \t\r\n"); len(trimmed) > 0 && trimmed[0] == '[' {
-		err = json.Unmarshal(trimmed, &req.Items)
+		var fast bool
+		if req.Items, fast = parseUintArray(req.Items, trimmed); !fast {
+			err = json.Unmarshal(trimmed, &req.Items)
+		}
 	} else {
 		err = json.Unmarshal(body, req)
 	}
