@@ -1,64 +1,9 @@
 package streamagg
 
 import (
-	"fmt"
 	"testing"
 	"time"
-
-	"repro/internal/workload"
 )
-
-// BenchmarkE13IngestorThroughput measures the serving layer's async
-// minibatcher (experiment E13): request-sized PutBatch calls coalesced
-// into minibatches at different flush thresholds, against the direct
-// synchronous ProcessBatch baseline.
-func BenchmarkE13IngestorThroughput(b *testing.B) {
-	const chunk = 256 // request-sized producer batches
-	stream := workload.Zipf(83, 1<<18, 1.1, 1<<16)
-	chunks := workload.Batches(stream, chunk)
-
-	b.Run("direct-sync", func(b *testing.B) {
-		agg, err := New(KindCountMin, WithEpsilon(1e-4), WithSeed(7))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(chunk * 8)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := agg.ProcessBatch(chunks[i%len(chunks)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, batchSize := range []int{1024, 8192, 65536} {
-		b.Run(fmt.Sprintf("ingestor-batch%d", batchSize), func(b *testing.B) {
-			agg, err := New(KindCountMin, WithEpsilon(1e-4), WithSeed(7))
-			if err != nil {
-				b.Fatal(err)
-			}
-			in, err := NewIngestor(agg,
-				WithBatchSize(batchSize), WithMaxLatency(time.Millisecond),
-				WithQueueCap(4*batchSize+chunk))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(chunk * 8)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := in.PutBatch(chunks[i%len(chunks)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := in.Flush(); err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			if err := in.Close(); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
 
 // BenchmarkIngestorPut measures the single-update hot path (the
 // per-item enqueue cost a serving handler pays).

@@ -1,5 +1,5 @@
-// Benchmarks regenerating the experiment series of EXPERIMENTS.md, one
-// family per experiment id (see DESIGN.md §3). Run:
+// Go benchmarks of the theorem experiments, one family per experiment id
+// E1–E10 of cmd/aggbench, plus the pipeline-vs-standalone trio. Run:
 //
 //	go test -bench=. -benchmem
 package streamagg
@@ -278,42 +278,6 @@ func BenchmarkE10Substrates(b *testing.B) {
 				xs[j] = 1
 			}
 			parallel.ScanExclusive(xs)
-		}
-	})
-}
-
-// BenchmarkE12ShardedIngest measures minibatch ingestion through the
-// Sharded wrapper vs the single shared structure (experiment E12): the
-// coarse-grained cross-shard axis on top of intra-minibatch parallelism.
-func BenchmarkE12ShardedIngest(b *testing.B) {
-	bs := benchStream(67, 1<<20)
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("count-min-s%d", shards), func(b *testing.B) {
-			agg, err := NewSharded(KindCountMin, shards,
-				WithEpsilon(1e-4), WithDelta(1e-3), WithSeed(7))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(benchBatch * 8)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := agg.ProcessBatch(bs[i%len(bs)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	b.Run("count-min-unsharded", func(b *testing.B) {
-		agg, err := NewCountMin(1e-4, 1e-3, 7)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(benchBatch * 8)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := agg.ProcessBatch(bs[i%len(bs)]); err != nil {
-				b.Fatal(err)
-			}
 		}
 	})
 }

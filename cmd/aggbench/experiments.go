@@ -1,33 +1,21 @@
 package main
 
 import (
-	"context"
 	"fmt"
-	"net/http/httptest"
-	"os"
 	"runtime"
-	"runtime/debug"
-	"sort"
 	"time"
 
-	streamagg "repro"
 	"repro/internal/baseline"
 	"repro/internal/bcount"
 	"repro/internal/cms"
-	"repro/internal/countsketch"
 	"repro/internal/css"
 	"repro/internal/hist"
-	"repro/internal/loadgen"
 	"repro/internal/mg"
 	"repro/internal/minibatch"
 	"repro/internal/parallel"
 	"repro/internal/swfreq"
 	"repro/internal/workload"
 	"repro/internal/wsum"
-	"repro/metrics"
-	"repro/persist"
-	"repro/server"
-	"repro/trace"
 )
 
 // ---------------------------------------------------------------- E1 --
@@ -455,866 +443,4 @@ func runE10() {
 	}
 	t.print()
 	fmt.Println("shape check: ns/elem flat in n for all three (linear work)")
-}
-
-// --------------------------------------------------------------- E11 --
-
-// runE11 measures the public API's multi-aggregate Pipeline: the same
-// four aggregates ingested via the Pipeline's concurrent fan-out (one
-// goroutine per aggregate, shared worker budget) against ingesting them
-// one after another — the hand-rolled loop the Pipeline replaces.
-func runE11() {
-	const (
-		streamLen = 1 << 20
-		batchSize = 1 << 15
-	)
-	stream := workload.Zipf(53, streamLen, 1.1, 1<<18)
-	batches := workload.Batches(stream, batchSize)
-
-	build := func() []streamagg.Aggregate {
-		mk := func(kind streamagg.Kind, opts ...streamagg.Option) streamagg.Aggregate {
-			a, err := streamagg.New(kind, opts...)
-			if err != nil {
-				panic(err)
-			}
-			return a
-		}
-		return []streamagg.Aggregate{
-			mk(streamagg.KindFreq, streamagg.WithEpsilon(1e-3)),
-			mk(streamagg.KindSlidingFreq,
-				streamagg.WithWindow(1<<18), streamagg.WithEpsilon(1.0/128),
-				streamagg.WithVariant(streamagg.VariantWorkEfficient)),
-			mk(streamagg.KindCountMin,
-				streamagg.WithEpsilon(1e-4), streamagg.WithDelta(1e-3), streamagg.WithSeed(7)),
-			mk(streamagg.KindCountSketch,
-				streamagg.WithEpsilon(0.01), streamagg.WithDelta(1e-3), streamagg.WithSeed(9)),
-		}
-	}
-	names := []string{"freq", "sliding", "count-min", "count-sketch"}
-
-	t := newTable("fan-out", "aggregates", "ns/item", "Mitem/s")
-	{
-		aggs := build()
-		start := time.Now()
-		for _, b := range batches {
-			for _, a := range aggs {
-				if err := a.ProcessBatch(b); err != nil {
-					panic(err)
-				}
-			}
-		}
-		el := time.Since(start)
-		t.add("sequential loop", len(aggs),
-			fmt.Sprintf("%.1f", float64(el.Nanoseconds())/float64(streamLen)),
-			fmt.Sprintf("%.1f", float64(streamLen)/el.Seconds()/1e6))
-		record("E11", "sequential loop", map[string]any{"aggregates": len(aggs), "batch": batchSize},
-			float64(el.Nanoseconds())/float64(streamLen), float64(streamLen)/el.Seconds())
-	}
-	{
-		p := streamagg.NewPipeline()
-		for i, a := range build() {
-			if err := p.Register(names[i], a); err != nil {
-				panic(err)
-			}
-		}
-		start := time.Now()
-		for _, b := range batches {
-			if err := p.ProcessBatch(b); err != nil {
-				panic(err)
-			}
-		}
-		el := time.Since(start)
-		t.add("pipeline (concurrent)", p.Len(),
-			fmt.Sprintf("%.1f", float64(el.Nanoseconds())/float64(streamLen)),
-			fmt.Sprintf("%.1f", float64(streamLen)/el.Seconds()/1e6))
-		record("E11", "pipeline (concurrent)", map[string]any{"aggregates": p.Len(), "batch": batchSize},
-			float64(el.Nanoseconds())/float64(streamLen), float64(streamLen)/el.Seconds())
-
-		ckpt, err := p.MarshalBinary()
-		if err != nil {
-			panic(err)
-		}
-		t.print()
-		fmt.Printf("whole-pipeline checkpoint: %d bytes for %d aggregates at stream position %d\n",
-			len(ckpt), p.Len(), p.StreamLen())
-	}
-	fmt.Println("shape check: concurrent fan-out at least matches the sequential loop")
-}
-
-// ---------------------------------------------------------------- E12 --
-
-// runE12 measures the sharded ingestion axis: the same minibatch stream
-// through one shared structure (the paper's intra-minibatch parallelism
-// alone) vs the Sharded wrapper at increasing shard counts, which adds
-// coarse-grained parallelism across independent shards on top. Shards
-// help once the single structure's parallel phases stop scaling (their
-// sequential fractions — histogram merge, per-row bookkeeping — bound
-// intra-batch speedup); on a single core the sharded rows only show the
-// partitioning overhead.
-func runE12() {
-	const (
-		streamLen = 1 << 21
-		batchSize = 1 << 16
-	)
-	stream := workload.Zipf(67, streamLen, 1.1, 1<<20)
-	batches := workload.Batches(stream, batchSize)
-	fmt.Printf("GOMAXPROCS=%d workers=%d\n", runtime.GOMAXPROCS(0), parallel.Workers())
-
-	ingest := func(agg streamagg.Aggregate) float64 {
-		start := time.Now()
-		for _, b := range batches {
-			if err := agg.ProcessBatch(b); err != nil {
-				panic(err)
-			}
-		}
-		return time.Since(start).Seconds()
-	}
-
-	for _, cfg := range []struct {
-		name string
-		kind streamagg.Kind
-		opts []streamagg.Option
-	}{
-		{"count-min", streamagg.KindCountMin,
-			[]streamagg.Option{streamagg.WithEpsilon(1e-4), streamagg.WithDelta(1e-3), streamagg.WithSeed(7)}},
-		{"freq (misra-gries)", streamagg.KindFreq,
-			[]streamagg.Option{streamagg.WithEpsilon(1e-3)}},
-	} {
-		t := newTable("engine", "shards", "ns/item", "Mitem/s", "vs baseline")
-		base, err := streamagg.New(cfg.kind, cfg.opts...)
-		if err != nil {
-			panic(err)
-		}
-		baseSec := ingest(base)
-		t.add("single structure", 1,
-			fmt.Sprintf("%.1f", baseSec*1e9/streamLen),
-			fmt.Sprintf("%.1f", streamLen/baseSec/1e6), "1.00x")
-		record("E12", cfg.name, map[string]any{"shards": 1, "batch": batchSize},
-			baseSec*1e9/streamLen, streamLen/baseSec)
-		for _, shards := range []int{2, 4, 8} {
-			s, err := streamagg.NewSharded(cfg.kind, shards, cfg.opts...)
-			if err != nil {
-				panic(err)
-			}
-			sec := ingest(s)
-			t.add("sharded", shards,
-				fmt.Sprintf("%.1f", sec*1e9/streamLen),
-				fmt.Sprintf("%.1f", streamLen/sec/1e6),
-				fmt.Sprintf("%.2fx", baseSec/sec))
-			record("E12", cfg.name, map[string]any{"shards": shards, "batch": batchSize},
-				sec*1e9/streamLen, streamLen/sec)
-		}
-		fmt.Printf("\n%s:\n", cfg.name)
-		t.print()
-	}
-	fmt.Println("\nshape check: sharded throughput should scale with shard count on multicore hardware")
-}
-
-// ---------------------------------------------------------------- E13 --
-
-// runE13 measures the serving layer's async minibatcher: the same stream
-// arriving as request-sized PutBatch calls, coalesced by the Ingestor at
-// different flush thresholds and latency budgets, against the direct
-// synchronous baseline. The threshold sweep traces the paper's minibatch
-// cost model — per-item cost falls as batches grow and the parallel
-// update's fixed overhead amortizes — while the latency column shows
-// what the timer costs when traffic is too light to fill a batch.
-func runE13() {
-	const (
-		streamLen = 1 << 21
-		chunk     = 256 // request-sized producer batches
-	)
-	stream := workload.Zipf(79, streamLen, 1.1, 1<<18)
-	chunks := workload.Batches(stream, chunk)
-	mkSink := func() streamagg.Aggregate {
-		agg, err := streamagg.New(streamagg.KindCountMin,
-			streamagg.WithEpsilon(1e-4), streamagg.WithDelta(1e-3), streamagg.WithSeed(7))
-		if err != nil {
-			panic(err)
-		}
-		return agg
-	}
-
-	t := newTable("mode", "batch", "latency", "ns/item", "Mitem/s", "sink batches", "mean batch")
-	{
-		agg := mkSink()
-		start := time.Now()
-		for _, c := range chunks {
-			if err := agg.ProcessBatch(c); err != nil {
-				panic(err)
-			}
-		}
-		sec := time.Since(start).Seconds()
-		t.add("direct sync", chunk, "-",
-			fmt.Sprintf("%.1f", sec*1e9/streamLen),
-			fmt.Sprintf("%.1f", streamLen/sec/1e6),
-			len(chunks), chunk)
-		record("E13", "direct sync", map[string]any{"chunk": chunk},
-			sec*1e9/streamLen, streamLen/sec)
-	}
-	for _, batchSize := range []int{1024, 8192, 65536} {
-		for _, latency := range []time.Duration{100 * time.Microsecond, 5 * time.Millisecond} {
-			in, err := streamagg.NewIngestor(mkSink(),
-				streamagg.WithBatchSize(batchSize),
-				streamagg.WithMaxLatency(latency),
-				streamagg.WithQueueCap(4*batchSize+chunk))
-			if err != nil {
-				panic(err)
-			}
-			start := time.Now()
-			for _, c := range chunks {
-				if _, err := in.PutBatch(c); err != nil {
-					panic(err)
-				}
-			}
-			if err := in.Close(); err != nil {
-				panic(err)
-			}
-			sec := time.Since(start).Seconds()
-			st := in.Stats()
-			mean := 0
-			if st.Batches > 0 {
-				mean = int(st.Processed / st.Batches)
-			}
-			t.add("ingestor", batchSize, latency.String(),
-				fmt.Sprintf("%.1f", sec*1e9/streamLen),
-				fmt.Sprintf("%.1f", streamLen/sec/1e6),
-				st.Batches, mean)
-			record("E13", "ingestor",
-				map[string]any{"batch": batchSize, "latency": latency.String(), "chunk": chunk},
-				sec*1e9/streamLen, streamLen/sec)
-		}
-	}
-	t.print()
-	fmt.Println("shape check: ns/item falls as the flush threshold grows (minibatch amortization);")
-	fmt.Println("the latency budget only matters when the size threshold is rarely reached")
-}
-
-// ---------------------------------------------------------------- E14 --
-
-// runE14 measures what durability costs at the flush boundary: the same
-// request-sized stream through the Ingestor with no data directory
-// (memory only), then with the WAL under each fsync policy. Because a
-// WAL record is a whole minibatch, the append is one sequential write —
-// and under fsync=always one fsync — per batch, so the overhead
-// amortizes exactly like the paper's per-batch parallel overhead; the
-// policy column prices the durability window (everything / last
-// interval / OS writeback) in throughput.
-func runE14() {
-	const (
-		streamLen = 1 << 20
-		chunk     = 256
-		batchSize = 8192
-	)
-	stream := workload.Zipf(97, streamLen, 1.1, 1<<18)
-	chunks := workload.Batches(stream, chunk)
-	mkSink := func() streamagg.Aggregate {
-		agg, err := streamagg.New(streamagg.KindCountMin,
-			streamagg.WithEpsilon(1e-4), streamagg.WithDelta(1e-3), streamagg.WithSeed(7))
-		if err != nil {
-			panic(err)
-		}
-		return agg
-	}
-	run := func(opts ...streamagg.Option) (sec float64, batches int64) {
-		base := []streamagg.Option{
-			streamagg.WithBatchSize(batchSize),
-			streamagg.WithMaxLatency(5 * time.Millisecond),
-			streamagg.WithQueueCap(4*batchSize + chunk),
-		}
-		in, err := streamagg.NewIngestor(mkSink(), append(base, opts...)...)
-		if err != nil {
-			panic(err)
-		}
-		start := time.Now()
-		for _, c := range chunks {
-			if _, err := in.PutBatch(c); err != nil {
-				panic(err)
-			}
-		}
-		if err := in.Flush(); err != nil {
-			panic(err)
-		}
-		sec = time.Since(start).Seconds()
-		st := in.Stats()
-		if err := in.Close(); err != nil {
-			panic(err)
-		}
-		return sec, st.Batches
-	}
-
-	t := newTable("durability", "fsync", "ns/item", "Mitem/s", "vs memory-only")
-	baseSec, _ := run()
-	t.add("memory only", "-",
-		fmt.Sprintf("%.1f", baseSec*1e9/streamLen),
-		fmt.Sprintf("%.1f", streamLen/baseSec/1e6), "1.00x")
-	record("E14", "memory only", map[string]any{"batch": batchSize, "chunk": chunk},
-		baseSec*1e9/streamLen, streamLen/baseSec)
-	for _, policy := range []persist.Fsync{persist.FsyncNever, persist.FsyncInterval, persist.FsyncAlways} {
-		dir, err := os.MkdirTemp("", "aggbench-e14-*")
-		if err != nil {
-			panic(err)
-		}
-		sec, _ := run(streamagg.WithDataDir(dir), streamagg.WithFsync(policy))
-		os.RemoveAll(dir)
-		t.add("wal", policy.String(),
-			fmt.Sprintf("%.1f", sec*1e9/streamLen),
-			fmt.Sprintf("%.1f", streamLen/sec/1e6),
-			fmt.Sprintf("%.2fx", baseSec/sec))
-		record("E14", "wal", map[string]any{"fsync": policy.String(), "batch": batchSize, "chunk": chunk},
-			sec*1e9/streamLen, streamLen/sec)
-	}
-	t.print()
-	fmt.Println("shape check: never ~ memory-only (one extra sequential write per batch);")
-	fmt.Println("always pays one fsync per minibatch, amortized across its items")
-}
-
-// ---------------------------------------------------------------- E15 --
-
-// runE15 prices the observability subsystem on the ingest hot path. The
-// instrumentation budget is strict — counters must be atomic, no locks
-// — so the experiment measures three levels: the raw cost of one
-// Counter.Add and one Histogram.Observe (the only operations the hot
-// path executes), the end-to-end instrumented Ingestor throughput in
-// E13's configuration, and the delta against the committed
-// BENCH_E13.json trajectory row (the pre-instrumentation measurement).
-// Target: < 2% throughput overhead vs the E13 baseline.
-func runE15() {
-	const (
-		streamLen = 1 << 21
-		chunk     = 256
-		batchSize = 8192
-	)
-
-	t := newTable("path", "config", "ns/unit", "Munit/s")
-	// Raw instrument cost: the per-item hot-path op is one Counter.Add
-	// per PutBatch (amortized over the chunk) plus a handful of adds
-	// and two histogram observations per flushed minibatch.
-	{
-		const ops = 1 << 26
-		var c metrics.Counter
-		start := time.Now()
-		for i := 0; i < ops; i++ {
-			c.Add(1)
-		}
-		el := time.Since(start)
-		ns := float64(el.Nanoseconds()) / ops
-		t.add("counter Add", "atomic", fmt.Sprintf("%.1f", ns), fmt.Sprintf("%.0f", ops/el.Seconds()/1e6))
-		record("E15", "counter add", map[string]any{"ops": ops}, ns, ops/el.Seconds())
-
-		var h metrics.Histogram
-		start = time.Now()
-		for i := 0; i < ops; i++ {
-			h.Observe(uint64(i))
-		}
-		el = time.Since(start)
-		ns = float64(el.Nanoseconds()) / ops
-		t.add("histogram Observe", "log2 atomic", fmt.Sprintf("%.1f", ns), fmt.Sprintf("%.0f", ops/el.Seconds()/1e6))
-		record("E15", "histogram observe", map[string]any{"ops": ops}, ns, ops/el.Seconds())
-	}
-
-	// End-to-end: E13's request-sized chunks through the (now always
-	// instrumented) Ingestor, same count-min sink and knobs.
-	stream := workload.Zipf(79, streamLen, 1.1, 1<<18)
-	chunks := workload.Batches(stream, chunk)
-	mkSink := func() streamagg.Aggregate {
-		agg, err := streamagg.New(streamagg.KindCountMin,
-			streamagg.WithEpsilon(1e-4), streamagg.WithDelta(1e-3), streamagg.WithSeed(7))
-		if err != nil {
-			panic(err)
-		}
-		return agg
-	}
-	var ingestNs float64
-	{
-		in, err := streamagg.NewIngestor(mkSink(),
-			streamagg.WithBatchSize(batchSize),
-			streamagg.WithMaxLatency(5*time.Millisecond),
-			streamagg.WithQueueCap(4*batchSize+chunk))
-		if err != nil {
-			panic(err)
-		}
-		start := time.Now()
-		for _, c := range chunks {
-			if _, err := in.PutBatch(c); err != nil {
-				panic(err)
-			}
-		}
-		if err := in.Close(); err != nil {
-			panic(err)
-		}
-		sec := time.Since(start).Seconds()
-		ingestNs = sec * 1e9 / streamLen
-		t.add("ingestor (instrumented)", fmt.Sprintf("batch %d", batchSize),
-			fmt.Sprintf("%.1f", ingestNs), fmt.Sprintf("%.1f", streamLen/sec/1e6))
-		record("E15", "ingestor instrumented",
-			map[string]any{"batch": batchSize, "latency": "5ms", "chunk": chunk},
-			ingestNs, streamLen/sec)
-	}
-	t.print()
-
-	// Overhead vs the committed E13 trajectory row, when present (the
-	// BENCH_E13.json at the repo root predates the instrumentation).
-	if base, ok := loadBenchRecord("BENCH_E13.json", "ingestor", "batch", batchSize); ok {
-		pct := (ingestNs - base.NsPerItem) / base.NsPerItem * 100
-		fmt.Printf("instrumentation overhead vs committed E13 (batch %d): %+.1f%% (%.1f -> %.1f ns/item)\n",
-			batchSize, pct, base.NsPerItem, ingestNs)
-		record("E15", "overhead vs E13",
-			map[string]any{"batch": batchSize, "overhead_pct": fmt.Sprintf("%.1f", pct)},
-			ingestNs-base.NsPerItem, 0)
-	} else {
-		fmt.Println("no committed BENCH_E13.json row to compare against")
-	}
-	fmt.Println("shape check: per-item hot-path cost is one atomic add amortized over the")
-	fmt.Println("producer chunk; target < 2% end-to-end overhead vs the E13 baseline")
-}
-
-// ---------------------------------------------------------------- E16 --
-
-// runE16 measures federation merge cost against summary size for every
-// mergeable kind. The mergeable-summaries property says a merge touches
-// only the summaries, never the stream, so cost should scale with the
-// summary footprint (O(1/ε) for MG, O(1/ε · log 1/δ) cells for the
-// linear sketches) and be flat in the stream length behind them — the
-// whole point of edge→root fan-in.
-func runE16() {
-	const streamLen = 1 << 19
-
-	type config struct {
-		kind streamagg.Kind
-		eps  float64
-		opts []streamagg.Option
-	}
-	var configs []config
-	for _, eps := range []float64{0.01, 0.003, 0.001} {
-		configs = append(configs,
-			config{streamagg.KindFreq, eps,
-				[]streamagg.Option{streamagg.WithEpsilon(eps)}},
-			config{streamagg.KindCountMin, eps,
-				[]streamagg.Option{streamagg.WithEpsilon(eps), streamagg.WithSeed(7)}},
-			config{streamagg.KindCountMinRange, eps,
-				[]streamagg.Option{streamagg.WithUniverseBits(20),
-					streamagg.WithEpsilon(eps), streamagg.WithSeed(3)}},
-		)
-	}
-	// Count-sketch width is O(1/ε²), not O(1/ε); the same eps ladder
-	// would balloon to ~10⁷ words, so it gets its own scale.
-	for _, eps := range []float64{0.03, 0.01, 0.003} {
-		configs = append(configs, config{streamagg.KindCountSketch, eps,
-			[]streamagg.Option{streamagg.WithEpsilon(eps), streamagg.WithSeed(5)}})
-	}
-
-	streamA := workload.Zipf(161, streamLen, 1.1, 1<<18)
-	streamB := workload.Zipf(162, streamLen, 1.1, 1<<18)
-
-	t := newTable("kind", "eps", "space words", "merge µs", "ns/word")
-	for _, c := range configs {
-		mk := func(stream []uint64) streamagg.Aggregate {
-			agg, err := streamagg.New(c.kind, c.opts...)
-			if err != nil {
-				panic(err)
-			}
-			if err := agg.ProcessBatch(stream); err != nil {
-				panic(err)
-			}
-			return agg
-		}
-		a, b := mk(streamA), mk(streamB)
-		ckpt, err := a.MarshalBinary()
-		if err != nil {
-			panic(err)
-		}
-		// The per-iteration restores churn the heap; keep collector
-		// pauses out of the timed region so the minimum is a clean
-		// merge, not a merge plus a GC cycle.
-		runtime.GC()
-		gcPct := debug.SetGCPercent(400)
-		// Merge is destructive on the receiver, so each iteration
-		// restores a fresh copy from the checkpoint; only the Merge
-		// call itself is on the clock, and the fastest iteration is the
-		// figure of merit (the minimum is the run least disturbed by
-		// the scheduler, so it is stable enough for the -check gate).
-		var merges int
-		var elapsed time.Duration
-		perMerge := time.Duration(1<<62 - 1)
-		for elapsed < 200*time.Millisecond || merges < 5 {
-			dst, err := streamagg.UnmarshalAggregate(ckpt)
-			if err != nil {
-				panic(err)
-			}
-			start := time.Now()
-			if err := dst.(streamagg.Merger).Merge(b); err != nil {
-				panic(err)
-			}
-			d := time.Since(start)
-			elapsed += d
-			merges++
-			if d < perMerge {
-				perMerge = d
-			}
-		}
-		debug.SetGCPercent(gcPct)
-		words := a.SpaceWords()
-		nsPerWord := float64(perMerge.Nanoseconds()) / float64(words)
-		t.add(string(c.kind), fmt.Sprintf("%g", c.eps), words,
-			fmt.Sprintf("%.1f", float64(perMerge.Nanoseconds())/1e3),
-			fmt.Sprintf("%.1f", nsPerWord))
-		record("E16", fmt.Sprintf("%s eps=%g", c.kind, c.eps),
-			map[string]any{"kind": string(c.kind), "eps": c.eps},
-			nsPerWord, 1e9/float64(perMerge.Nanoseconds()))
-	}
-	t.print()
-	fmt.Println("shape check: merge cost tracks the summary footprint (ns/word roughly")
-	fmt.Println("flat per kind as eps shrinks) and never touches the stream behind it")
-}
-
-// ---------------------------------------------------------------- E17 --
-
-// runE17 profiles the steady-state ingest hot path for time and
-// allocations together: ns/item and allocs/item for the sketch batch
-// paths under both hash schemes — the legacy pairwise-hash-per-row
-// addressing vs the derived one-hash-per-item scheme (Kirsch–
-// Mitzenmacher) — and for the serving-path wrappers (Ingestor flush
-// loop, Sharded partition + ingest) whose scratch reuse is required to
-// hold steady-state allocations at zero per item. Allocation counts come
-// from the runtime's Mallocs counter around the timed region, so they
-// include every goroutine the parallel primitives fork; the fixed
-// fork-join bookkeeping is a handful of objects per batch and shows up
-// as allocs/item ≈ 0 at serving batch sizes.
-func runE17() {
-	const (
-		streamLen = 1 << 21
-		batchSize = 8192
-		d         = 7
-		w         = 1 << 15
-	)
-	stream := workload.Zipf(211, streamLen, 1.1, 1<<18)
-	batches := workload.Batches(stream, batchSize)
-
-	measure := func(f func()) (nsPerItem, itemsPerSec, allocsPerItem float64) {
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		f()
-		sec := time.Since(start).Seconds()
-		runtime.ReadMemStats(&after)
-		allocs := float64(after.Mallocs - before.Mallocs)
-		return sec * 1e9 / streamLen, streamLen / sec, allocs / streamLen
-	}
-
-	t := newTable("path", "scheme", "ns/item", "Mitem/s", "allocs/item", "speedup")
-	schemeName := map[int]string{0: "legacy pairwise", 1: "derived"}
-
-	addSketch := func(path string, run func(scheme int) func()) {
-		var legacyNs float64
-		for _, scheme := range []int{0, 1} {
-			body := run(scheme)
-			body() // warm the per-instance scratch outside the clock
-			ns, ips, allocs := measure(body)
-			speedup := "-"
-			if scheme == 0 {
-				legacyNs = ns
-			} else if ns > 0 {
-				speedup = fmt.Sprintf("%.2fx", legacyNs/ns)
-			}
-			t.add(path, schemeName[scheme],
-				fmt.Sprintf("%.1f", ns), fmt.Sprintf("%.1f", ips/1e6),
-				fmt.Sprintf("%.4f", allocs), speedup)
-			recordAllocs("E17", fmt.Sprintf("%s %s", path, schemeName[scheme]),
-				map[string]any{"d": d, "w": w, "batch": batchSize},
-				ns, ips, allocs)
-		}
-	}
-
-	addSketch("cms batch", func(scheme int) func() {
-		s := cms.NewWithDimsScheme(d, w, 7, scheme)
-		return func() {
-			for _, b := range batches {
-				s.ProcessBatch(b)
-			}
-		}
-	})
-	addSketch("countsketch batch", func(scheme int) func() {
-		s := countsketch.NewWithDimsScheme(d, w, 7, scheme)
-		return func() {
-			for _, b := range batches {
-				s.ProcessBatch(b)
-			}
-		}
-	})
-
-	{
-		agg, err := streamagg.New(streamagg.KindCountMin,
-			streamagg.WithEpsilon(1e-4), streamagg.WithDelta(1e-3), streamagg.WithSeed(7))
-		if err != nil {
-			panic(err)
-		}
-		in, err := streamagg.NewIngestor(agg,
-			streamagg.WithBatchSize(batchSize), streamagg.WithQueueCap(4*batchSize))
-		if err != nil {
-			panic(err)
-		}
-		run := func() {
-			for _, b := range batches {
-				if _, err := in.PutBatch(b); err != nil {
-					panic(err)
-				}
-			}
-			if err := in.Flush(); err != nil {
-				panic(err)
-			}
-		}
-		run() // warm queue buffers and sketch scratch
-		ns, ips, allocs := measure(run)
-		if err := in.Close(); err != nil {
-			panic(err)
-		}
-		t.add("ingestor steady-state", "derived",
-			fmt.Sprintf("%.1f", ns), fmt.Sprintf("%.1f", ips/1e6),
-			fmt.Sprintf("%.4f", allocs), "-")
-		recordAllocs("E17", "ingestor steady-state",
-			map[string]any{"batch": batchSize}, ns, ips, allocs)
-	}
-
-	{
-		sh, err := streamagg.NewSharded(streamagg.KindCountMin, 8,
-			streamagg.WithEpsilon(1e-4), streamagg.WithDelta(1e-3), streamagg.WithSeed(7))
-		if err != nil {
-			panic(err)
-		}
-		run := func() {
-			for _, b := range batches {
-				if err := sh.ProcessBatch(b); err != nil {
-					panic(err)
-				}
-			}
-		}
-		run() // warm the partition scratch and every shard
-		ns, ips, allocs := measure(run)
-		t.add("sharded ingest", "derived",
-			fmt.Sprintf("%.1f", ns), fmt.Sprintf("%.1f", ips/1e6),
-			fmt.Sprintf("%.4f", allocs), "-")
-		recordAllocs("E17", "sharded ingest",
-			map[string]any{"batch": batchSize, "shards": 8}, ns, ips, allocs)
-	}
-
-	t.print()
-	fmt.Println("shape check: derived rows are >= 2x the legacy scheme on ns/item, and the")
-	fmt.Println("derived/serving rows hold allocs/item at ~0 (scratch reuse, one hash per item)")
-}
-
-// ---------------------------------------------------------------- E18 --
-
-// runE18 measures the distributed-tracing subsystem's cost on the
-// steady-state ingest path, the same loop E17's "ingestor steady-state"
-// row times: no tracer at all, a tracer with sampling off (the
-// production default — nil spans everywhere, so this must be free), and
-// sampling every batch's trace (the debugging ceiling: one enqueue
-// parent plus flush/WAL-less apply spans recorded per minibatch,
-// amortized across its items).
-func runE18() {
-	const (
-		streamLen = 1 << 21
-		batchSize = 8192
-	)
-	stream := workload.Zipf(223, streamLen, 1.1, 1<<18)
-	batches := workload.Batches(stream, batchSize)
-
-	measure := func(f func()) (nsPerItem, itemsPerSec, allocsPerItem float64) {
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		f()
-		sec := time.Since(start).Seconds()
-		runtime.ReadMemStats(&after)
-		allocs := float64(after.Mallocs - before.Mallocs)
-		return sec * 1e9 / streamLen, streamLen / sec, allocs / streamLen
-	}
-
-	t := newTable("tracing", "ns/item", "Mitem/s", "allocs/item", "overhead")
-	var baseNs float64
-	for _, cfg := range []struct {
-		label string
-		rate  float64
-		trace bool
-	}{
-		{"off (no tracer)", 0, false},
-		{"rate 0 (disabled)", 0, true},
-		{"rate 1 (every batch)", 1, true},
-	} {
-		agg, err := streamagg.New(streamagg.KindCountMin,
-			streamagg.WithEpsilon(1e-4), streamagg.WithDelta(1e-3), streamagg.WithSeed(7))
-		if err != nil {
-			panic(err)
-		}
-		opts := []streamagg.Option{
-			streamagg.WithBatchSize(batchSize), streamagg.WithQueueCap(4 * batchSize),
-		}
-		var tr *trace.Tracer
-		if cfg.trace {
-			tr = trace.New(trace.Config{SampleRate: cfg.rate})
-			opts = append(opts, streamagg.WithTracer(tr))
-		}
-		in, err := streamagg.NewIngestor(agg, opts...)
-		if err != nil {
-			panic(err)
-		}
-		ctx := context.Background()
-		run := func() {
-			for _, b := range batches {
-				// Mirror the serving path: at rate 1 every batch enters
-				// under a sampled enqueue context; at rate 0 the span is
-				// nil and the context zero-valued, exactly like an
-				// untraced HTTP request.
-				span := tr.Start("bench.ingest", trace.SpanContext{})
-				if _, err := in.PutBatchSpan(ctx, b, span.Context()); err != nil {
-					panic(err)
-				}
-				span.End()
-			}
-			if err := in.Flush(); err != nil {
-				panic(err)
-			}
-		}
-		run() // warm queue buffers, sketch scratch, and (rate 1) the span ring
-		ns, ips, allocs := measure(run)
-		if err := in.Close(); err != nil {
-			panic(err)
-		}
-		overhead := "-"
-		if baseNs == 0 {
-			baseNs = ns
-		} else if baseNs > 0 {
-			overhead = fmt.Sprintf("%+.1f%%", (ns/baseNs-1)*100)
-		}
-		t.add(cfg.label, fmt.Sprintf("%.1f", ns), fmt.Sprintf("%.1f", ips/1e6),
-			fmt.Sprintf("%.4f", allocs), overhead)
-		recordAllocs("E18", cfg.label,
-			map[string]any{"batch": batchSize, "rate": cfg.rate}, ns, ips, allocs)
-	}
-	t.print()
-	fmt.Println("shape check: the rate-0 row matches the no-tracer row (nil spans, zero")
-	fmt.Println("allocations); rate 1 pays a few spans per 8192-item batch — noise-level ns/item")
-}
-
-// ---------------------------------------------------------------- E19 --
-
-// runE19 measures what a client actually observes: an in-process
-// aggserve (the same demo aggregates the binary boots with) driven by
-// the open-loop harness at a fixed offered rate with the default mixed
-// verb workload. Because latency is charged against each operation's
-// intended start time, a server stall inflates the tail of every
-// operation it delayed — the numbers here are coordinated-omission-safe
-// and directly comparable to production SLOs. The mixed rows commit a
-// p99 SLO the -check gate enforces; the capacity row deliberately
-// offers more ingest than one host can serve so achieved items/s is the
-// HTTP-path capacity, gated by the usual throughput tolerance.
-func runE19() {
-	pipe := streamagg.NewPipeline()
-	mustAdd := func(name string, kind streamagg.Kind, opts ...streamagg.Option) {
-		if _, err := pipe.Add(name, kind, opts...); err != nil {
-			panic(err)
-		}
-	}
-	mustAdd("hot", streamagg.KindFreq, streamagg.WithEpsilon(0.001))
-	mustAdd("sketch", streamagg.KindCountMin,
-		streamagg.WithEpsilon(1e-4), streamagg.WithDelta(1e-3), streamagg.WithSeed(7))
-	mustAdd("dist", streamagg.KindCountMinRange, streamagg.WithUniverseBits(20))
-	srv, err := server.New(pipe,
-		streamagg.WithBatchSize(8192),
-		streamagg.WithMaxLatency(5*time.Millisecond),
-		streamagg.WithQueueCap(1<<16))
-	if err != nil {
-		panic(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-	}()
-
-	latMap := func(p loadgen.Percentiles) map[string]float64 {
-		return map[string]float64{"p50": p.P50, "p90": p.P90, "p99": p.P99, "p999": p.P999, "max": p.Max}
-	}
-
-	// Rate-gated mixed run: offered well under capacity, so achieved
-	// tracks offered on any machine and the interesting signal is the
-	// latency distribution. The SLO is generous (~20x the p99 this
-	// configuration measures on a quiet host) — it exists to catch
-	// serving-path stalls, not machine-to-machine jitter.
-	const sloP99Ms = 250
-	mix, err := loadgen.ParseMix(loadgen.DefaultMix)
-	if err != nil {
-		panic(err)
-	}
-	mixedParams := map[string]any{"rate": 2000, "workers": 4, "batch": 64, "duration": "2s"}
-	rep, err := loadgen.Run(context.Background(), loadgen.Config{
-		Target:   ts.URL,
-		Rate:     2000,
-		Workers:  4,
-		Duration: 2 * time.Second,
-		Warmup:   300 * time.Millisecond,
-		Mix:      mix,
-		Batch:    64,
-		Keys:     loadgen.Keys{Seed: 23},
-	})
-	if err != nil {
-		panic(err)
-	}
-	t := newTable("verb", "ops", "p50 ms", "p90 ms", "p99 ms", "p99.9 ms", "max ms")
-	labels := make([]string, 0, len(rep.Verbs))
-	for l := range rep.Verbs {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	for _, l := range labels {
-		v := rep.Verbs[l]
-		t.add(l, v.Ops, fmt.Sprintf("%.2f", v.Latency.P50), fmt.Sprintf("%.2f", v.Latency.P90),
-			fmt.Sprintf("%.2f", v.Latency.P99), fmt.Sprintf("%.2f", v.Latency.P999),
-			fmt.Sprintf("%.2f", v.Latency.Max))
-		recordLoad("E19", "mixed "+l, mixedParams, 0, 0, 0, latMap(v.Latency), sloP99Ms)
-	}
-	t.add("all", rep.Ops, fmt.Sprintf("%.2f", rep.Latency.P50), fmt.Sprintf("%.2f", rep.Latency.P90),
-		fmt.Sprintf("%.2f", rep.Latency.P99), fmt.Sprintf("%.2f", rep.Latency.P999),
-		fmt.Sprintf("%.2f", rep.Latency.Max))
-	t.print()
-	fmt.Printf("mixed: offered %.0f ops/s, achieved %.1f ops/s (%.1f%%), ingest %.3g items/s, 5xx=%d err=%d\n",
-		rep.OfferedPerSec, rep.AchievedPerSec, 100*rep.AchievedPerSec/rep.OfferedPerSec,
-		rep.ItemsPerSec, rep.Status["5xx"], rep.Status["error"])
-	recordLoad("E19", "mixed open-loop", mixedParams,
-		rep.OfferedPerSec, rep.AchievedPerSec, rep.ItemsPerSec, latMap(rep.Latency), sloP99Ms)
-
-	// Capacity probe: ingest-only at an offered rate no single loopback
-	// HTTP path reaches, so the harness back-to-back quota turns the run
-	// into a saturation measurement. Latency is unbounded by design
-	// (open-loop overload), so the row commits no SLO; its achieved
-	// items/s is the throughput the perf gate tracks.
-	ingMix, err := loadgen.ParseMix("ingest=1")
-	if err != nil {
-		panic(err)
-	}
-	rep2, err := loadgen.Run(context.Background(), loadgen.Config{
-		Target:   ts.URL,
-		Rate:     10000,
-		Workers:  8,
-		Duration: time.Second,
-		Warmup:   200 * time.Millisecond,
-		Mix:      ingMix,
-		Batch:    512,
-		Keys:     loadgen.Keys{Seed: 29},
-	})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("capacity: offered %.3g items/s, achieved %.3g items/s (%.0f req/s), p99 %.1fms (overload, informational)\n",
-		rep2.OfferedPerSec*512, rep2.ItemsPerSec, rep2.AchievedPerSec, rep2.Latency.P99)
-	recordLoad("E19", "capacity ingest",
-		map[string]any{"rate": 10000, "workers": 8, "batch": 512},
-		rep2.OfferedPerSec, rep2.AchievedPerSec, rep2.ItemsPerSec, latMap(rep2.Latency), 0)
-	fmt.Println("shape check: mixed achieved tracks offered (the server keeps the schedule) and")
-	fmt.Println("every verb's p99 sits far under the committed SLO; capacity achieved < offered")
 }

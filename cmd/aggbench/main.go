@@ -1,27 +1,16 @@
-// aggbench regenerates the experiment tables recorded in EXPERIMENTS.md.
+// aggbench prints the experiment tables E1–E10.
 // The paper (SPAA'14) is a theory paper with no measurement tables; each
 // experiment here validates one of its theorems empirically — accuracy
 // bounds against ground truth, space bounds against the O(·) formulas,
 // work bounds as flat per-item cost, depth as multicore speedup, and the
 // Section 5.4 comparison against the independent data-structure approach.
+// All ten drive the internal engines directly. Performance of the serving
+// stack is measured by bench/ (see bench/README.md), not here.
 //
 // Usage:
 //
 //	aggbench -experiment E1       # one experiment
 //	aggbench -experiment all      # everything (a few minutes)
-//
-// E1–E10 exercise the internal engines directly; E11 measures the
-// public Pipeline API's concurrent fan-out; E12 the sharded ingestion
-// axis; E13 the serving layer's async minibatcher; E14 the durability
-// subsystem's WAL cost per fsync policy; E15 the observability
-// subsystem's instrumentation cost on the ingest hot path; E17 the
-// hashing scheme and allocation profile of the steady-state ingest path;
-// E18 the distributed-tracing span overhead with sampling off and on;
-// E19 the client-observed serving latency under an open-loop mixed
-// workload (internal/loadgen driving an in-process server), whose
-// committed p99 SLO the -check gate enforces.
-// With -json, the perf-trajectory experiments (E11–E19) also write
-// BENCH_<experiment>.json files with machine-readable measurements.
 package main
 
 import (
@@ -38,12 +27,8 @@ type experiment struct {
 }
 
 func main() {
-	which := flag.String("experiment", "all", "experiment id (E1..E19) or 'all'")
-	flag.BoolVar(&jsonOut, "json", false, "also write BENCH_<experiment>.json measurement files")
-	check := flag.Bool("check", false, "compare measurements against committed BENCH_*.json; exit 1 on regression")
-	tolerance := flag.Float64("check-tolerance", 0.15, "fractional items/sec drop tolerated by -check")
+	which := flag.String("experiment", "all", "experiment id (E1..E10) or 'all'")
 	flag.Parse()
-	checkOn = *check
 
 	exps := []experiment{
 		{"E1", "shared structure vs independent data structures (Fig. 1, §5.4)", runE1},
@@ -56,15 +41,6 @@ func main() {
 		{"E8", "accuracy: guaranteed vs measured error, all aggregates", runE8},
 		{"E9", "parallel speedup: throughput vs workers (depth bounds)", runE9},
 		{"E10", "substrates: intSort, buildHist, CSS (Thms 2.2/2.3, Lemma 2.1)", runE10},
-		{"E11", "multi-aggregate pipeline: concurrent fan-out vs sequential (public API)", runE11},
-		{"E12", "sharded ingestion: throughput vs shard count (mergeable summaries)", runE12},
-		{"E13", "serving layer: Ingestor throughput vs batch size and max latency", runE13},
-		{"E14", "durability: ingest throughput vs fsync policy (WAL at the flush boundary)", runE14},
-		{"E15", "observability: instrumentation cost on the ingest hot path (vs E13)", runE15},
-		{"E16", "federation: merge cost vs summary size per mergeable kind", runE16},
-		{"E17", "hashing + allocation profile: derived one-hash-per-item scheme, zero-alloc batch path", runE17},
-		{"E18", "tracing: span overhead on the ingest path, sampling off vs on", runE18},
-		{"E19", "open-loop serving latency under mixed load (client-observed, SLO-gated)", runE19},
 	}
 
 	want := strings.ToUpper(*which)
@@ -79,12 +55,6 @@ func main() {
 	if !ran {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *which)
 		os.Exit(2)
-	}
-	if jsonOut {
-		writeJSONReports()
-	}
-	if *check && checkRegressions(*tolerance) > 0 {
-		os.Exit(1)
 	}
 }
 

@@ -19,9 +19,9 @@
 // verbs name the aggregate they hit, ingest targets the pipeline. The
 // default mix matches aggserve's demo aggregates. Progress prints once
 // a second; the final report prints as a table and, with -json, is
-// written as machine-readable JSON (the schema BENCH_E19.json rows and
-// the CI SLO gate consume). Exits nonzero if the run saw any transport
-// errors or 5xx responses and -strict is set.
+// written as machine-readable JSON (the schema the CI aggload smoke
+// asserts on). Exits nonzero if the run saw any transport errors or 5xx
+// responses and -strict is set.
 package main
 
 import (

@@ -86,8 +86,8 @@ func NewWithDims(d, w int, seed int64) *Sketch {
 }
 
 // NewWithDimsScheme creates a d×w sketch with an explicit hash scheme.
-// SchemeLegacyPairwise exists for checkpoint restoration and for
-// benchmarking the old row addressing; new sketches use SchemeDerived.
+// SchemeLegacyPairwise exists only for checkpoint restoration; new
+// sketches use SchemeDerived.
 func NewWithDimsScheme(d, w int, seed int64, scheme int) *Sketch {
 	if d < 1 || w < 1 {
 		panic("cms: dimensions must be >= 1")

@@ -7,9 +7,11 @@ import (
 	"strings"
 )
 
-// HotAlloc turns the steady-state zero-alloc contract (E17/E18: 0
-// allocs/item on the batch ingest paths) into a build-time gate. A
-// function opts in with a doc-comment directive:
+// HotAlloc turns the steady-state zero-alloc contract (0 allocs/item
+// on the batch ingest paths, pinned at runtime by the SteadyStateAllocs
+// tests in alloc_test.go, internal/cms, internal/countsketch and
+// internal/mg, and by TestIngestorTracingDisabledAllocs) into a
+// build-time gate. A function opts in with a doc-comment directive:
 //
 //	//agglint:hotpath
 //	func (s *Sketch) ProcessBatch(items []uint64) { ... }

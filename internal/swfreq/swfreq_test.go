@@ -78,6 +78,7 @@ func TestGuaranteeUniformAllVariants(t *testing.T) {
 }
 
 func TestGuaranteeZipfAllVariants(t *testing.T) {
+	space := map[Variant]int{}
 	for _, v := range allVariants {
 		n := int64(4096)
 		eps := 0.02
@@ -94,6 +95,13 @@ func TestGuaranteeZipfAllVariants(t *testing.T) {
 			ref.add(items)
 		}
 		checkWindowGuarantee(t, e, ref)
+		space[v] = e.SpaceWords()
+	}
+	// Pruning must pay for itself: on a skewed stream with many distinct
+	// items the space-efficient variant may not outgrow the basic one.
+	if space[SpaceEfficient] > 2*space[Basic] {
+		t.Fatalf("space-efficient (%d words) larger than 2x basic (%d words)",
+			space[SpaceEfficient], space[Basic])
 	}
 }
 

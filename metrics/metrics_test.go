@@ -180,7 +180,8 @@ func TestConcurrentRegistrationAndScrape(t *testing.T) {
 }
 
 // The instruments ride the ingest hot path; these benchmarks are the
-// ground truth behind aggbench E15's overhead target.
+// Go-side counterpart of bench/'s metrics.counter_add_ns and
+// metrics.histogram_observe_ns probes.
 func BenchmarkCounterInc(b *testing.B) {
 	var c Counter
 	b.RunParallel(func(pb *testing.PB) {

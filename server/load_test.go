@@ -3,10 +3,10 @@ package server
 // End-to-end smoke of the open-loop load harness against a real
 // listener: every query verb the harness can drive plus ingest, over
 // the same pipeline the rest of the server tests use. This is the
-// black-box contract the CI aggload smoke and the E19 perf gate build
-// on — a healthy server at a modest offered rate serves the whole mix
-// with zero 5xx and zero transport errors, and the machine-readable
-// report round-trips through JSON with the fields consumers grep for.
+// black-box contract the CI aggload smoke builds on — a healthy server
+// at a modest offered rate serves the whole mix with zero 5xx and zero
+// transport errors, and the machine-readable report round-trips through
+// JSON with the fields consumers grep for.
 
 import (
 	"context"
