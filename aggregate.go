@@ -107,7 +107,9 @@ type TotalCounter interface {
 // Merge returns an error wrapping ErrIncompatibleMerge when the operands
 // differ in kind, parameters, or hash seed, or when an aggregate is
 // merged with itself; the receiver is unchanged on error. The argument
-// is read under its own query gate and is not modified.
+// is read in place, under its own query gate while the receiver's write
+// gate is held, and is not modified; so concurrent mutual merges
+// (a.Merge(b) while b.Merge(a)) are not supported.
 type Merger interface {
 	Merge(other Aggregate) error
 }

@@ -1,8 +1,6 @@
 package streamagg
 
 import (
-	"fmt"
-
 	"repro/internal/cms"
 	"repro/internal/hist"
 )
@@ -81,27 +79,14 @@ func (c *CountMin) SpaceWords() (w int) {
 // cell-wise (Merger interface): afterwards c summarizes both streams
 // with the εm guarantee at the combined m. The other sketch is read
 // under its query gate and left unchanged.
-func (c *CountMin) Merge(other Aggregate) error {
-	o, ok := other.(*CountMin)
-	if !ok {
-		return fmt.Errorf("%w: cannot merge %s into %s", ErrIncompatibleMerge, other.Kind(), c.Kind())
+func (c *CountMin) Merge(other Aggregate) error { return c.fold(other, foldMerge) }
+
+func (c *CountMin) fold(other Aggregate, op foldOp) error {
+	o, err := mergeArg(c, other)
+	if err != nil {
+		return err
 	}
-	if o == c {
-		return fmt.Errorf("%w: aggregate merged with itself", ErrIncompatibleMerge)
-	}
-	// Snapshot the other sketch under its own read lock first, then merge
-	// under c's write lock: never holding two gates at once rules out
-	// lock-order deadlocks between concurrent merges.
-	var clone *cms.Sketch
-	var olen int64
-	o.read(func() { clone, olen = o.impl.Clone(), o.streamLen })
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.impl.Merge(clone); err != nil {
-		return fmt.Errorf("%w: %v", ErrIncompatibleMerge, err)
-	}
-	c.streamLen += olen
-	return nil
+	return c.lockPair(&o.gate, op, func() error { return foldLinear(op, c.impl, o.impl) })
 }
 
 // CountMinRange is a dyadic stack of count-min sketches supporting range
@@ -167,22 +152,12 @@ func (c *CountMinRange) SpaceWords() (w int) {
 
 // Merge folds another CountMinRange with equal universe, dimensions and
 // seed into c level-wise (Merger interface).
-func (c *CountMinRange) Merge(other Aggregate) error {
-	o, ok := other.(*CountMinRange)
-	if !ok {
-		return fmt.Errorf("%w: cannot merge %s into %s", ErrIncompatibleMerge, other.Kind(), c.Kind())
+func (c *CountMinRange) Merge(other Aggregate) error { return c.fold(other, foldMerge) }
+
+func (c *CountMinRange) fold(other Aggregate, op foldOp) error {
+	o, err := mergeArg(c, other)
+	if err != nil {
+		return err
 	}
-	if o == c {
-		return fmt.Errorf("%w: aggregate merged with itself", ErrIncompatibleMerge)
-	}
-	var clone *cms.RangeSketch
-	var olen int64
-	o.read(func() { clone, olen = o.impl.Clone(), o.streamLen })
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.impl.Merge(clone); err != nil {
-		return fmt.Errorf("%w: %v", ErrIncompatibleMerge, err)
-	}
-	c.streamLen += olen
-	return nil
+	return c.lockPair(&o.gate, op, func() error { return foldLinear(op, c.impl, o.impl) })
 }

@@ -1,8 +1,6 @@
 package streamagg
 
 import (
-	"fmt"
-
 	"repro/internal/countsketch"
 	"repro/internal/hist"
 )
@@ -82,22 +80,12 @@ func (c *CountSketch) SpaceWords() (w int) {
 // cell-wise (Merger interface): count-sketch is a linear sketch, so the
 // merged state is exactly the sketch of the concatenated streams, with
 // error bounded by ε(‖f_a‖₂+‖f_b‖₂).
-func (c *CountSketch) Merge(other Aggregate) error {
-	o, ok := other.(*CountSketch)
-	if !ok {
-		return fmt.Errorf("%w: cannot merge %s into %s", ErrIncompatibleMerge, other.Kind(), c.Kind())
+func (c *CountSketch) Merge(other Aggregate) error { return c.fold(other, foldMerge) }
+
+func (c *CountSketch) fold(other Aggregate, op foldOp) error {
+	o, err := mergeArg(c, other)
+	if err != nil {
+		return err
 	}
-	if o == c {
-		return fmt.Errorf("%w: aggregate merged with itself", ErrIncompatibleMerge)
-	}
-	var clone *countsketch.Sketch
-	var olen int64
-	o.read(func() { clone, olen = o.impl.Clone(), o.streamLen })
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.impl.Merge(clone); err != nil {
-		return fmt.Errorf("%w: %v", ErrIncompatibleMerge, err)
-	}
-	c.streamLen += olen
-	return nil
+	return c.lockPair(&o.gate, op, func() error { return foldLinear(op, c.impl, o.impl) })
 }

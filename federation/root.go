@@ -50,9 +50,10 @@ type nodeState struct {
 	epoch, seq uint64
 	lastSeen   atomic.Int64 // unix nanos of the last applied push
 
-	// contrib holds the node's latest ModeFull pipeline; replaced
-	// wholesale on each full push, nil for delta-only nodes (their
-	// pushes merge destructively into the base).
+	// contrib holds the node's latest ModeFull pipeline, also held as
+	// the node's part of the overlay; replaced wholesale on each full
+	// push, nil for delta-only nodes (their pushes merge destructively
+	// into the base).
 	contrib *streamagg.Pipeline
 
 	lastSeq *metrics.Gauge
@@ -60,20 +61,25 @@ type nodeState struct {
 
 // Root folds federation pushes into a base pipeline and serves a merged
 // global view. Full-mode contributions are kept per node and overlaid
-// on the base at query time (latest-wins, so resends are idempotent);
-// delta-mode pushes merge directly into the base. Safe for concurrent
-// use; the base may keep ingesting local traffic throughout.
+// on the base (latest-wins, so resends are idempotent); delta-mode
+// pushes merge directly into the base. A full push costs the same
+// whatever the number of nodes: the overlay keeps the contributions'
+// running sum, and the view is built from it lazily, at most once per
+// change. Safe for concurrent use; the base may keep ingesting local
+// traffic throughout.
 type Root struct {
 	base *streamagg.Pipeline
 	now  func() time.Time
 
-	mu    sync.Mutex
-	nodes map[string]*nodeState
-	ver   uint64 // bumped whenever a push lands
+	mu      sync.Mutex
+	nodes   map[string]*nodeState
+	overlay *streamagg.Overlay // base ⊕ every node's contribution
+	ver     uint64             // bumped whenever a push lands
 
-	// Cached merged view: clone(base) ⊕ every node's contribution.
-	// Valid while no push landed (ver) and the base absorbed nothing
-	// (baseLen) since it was built.
+	// Cached merged view, replaced (never modified) on rebuild, so a
+	// reader keeps an immutable snapshot. Valid while no push landed
+	// (ver) and the base absorbed nothing since the clone it was built
+	// from (viewBaseLen, that clone's own StreamLen).
 	view        *streamagg.Pipeline
 	viewVer     uint64
 	viewBaseLen int64
@@ -97,10 +103,11 @@ func NewRoot(base *streamagg.Pipeline, reg *metrics.Registry) *Root {
 		reg = metrics.NewRegistry()
 	}
 	r := &Root{
-		base:  base,
-		now:   time.Now,
-		nodes: make(map[string]*nodeState),
-		reg:   reg,
+		base:    base,
+		now:     time.Now,
+		nodes:   make(map[string]*nodeState),
+		overlay: streamagg.NewOverlay(base),
+		reg:     reg,
 	}
 	const mergesName = "streamagg_federation_merges_total"
 	const mergesHelp = "Federation pushes received, by outcome."
@@ -114,7 +121,7 @@ func NewRoot(base *streamagg.Pipeline, reg *metrics.Registry) *Root {
 	r.viewHits = reg.Counter("streamagg_federation_view_cache_hits_total",
 		"Global-view queries served from the cached merge.")
 	r.viewRebuilds = reg.Counter("streamagg_federation_view_rebuilds_total",
-		"Global-view rebuilds (clone base, merge all contributions).")
+		"Global-view rebuilds (clone the base, merge the contributions' running sums).")
 	return r
 }
 
@@ -227,18 +234,15 @@ func (r *Root) Apply(env *Envelope) error {
 		}
 		r.ver++
 	default: // ModeFull: replace the node's contribution, latest wins.
-		prev := ns.contrib
-		ns.contrib = contrib
-		// Rebuild eagerly: validates the new contribution against the
-		// base and every other node before the watermark commits.
-		view, err := r.rebuildLocked()
-		if err != nil {
-			ns.contrib = prev
+		// Put checks the contribution against the base before anything
+		// changes, so a rejected push leaves the overlay, the cached
+		// view and the watermark as they were.
+		if err := r.overlay.Put(env.Node, contrib); err != nil {
 			r.incompatible.Inc()
 			return err
 		}
+		ns.contrib = contrib
 		r.ver++
-		r.installViewLocked(view)
 	}
 	ns.seen, ns.epoch, ns.seq = true, env.Epoch, env.Seq
 	ns.lastSeen.Store(r.now().UnixNano())
@@ -248,65 +252,33 @@ func (r *Root) Apply(env *Envelope) error {
 	return nil
 }
 
-// rebuildLocked builds a fresh global view: clone of the base with every
-// node's contribution merged in. Caller holds r.mu.
-func (r *Root) rebuildLocked() (*streamagg.Pipeline, error) {
-	view, err := r.base.Clone()
-	if err != nil {
-		return nil, err
-	}
-	for id, ns := range r.nodes {
-		if ns.contrib == nil {
-			continue
-		}
-		if err := view.Merge(ns.contrib); err != nil {
-			return nil, fmt.Errorf("federation: merging contribution from %q: %w", id, err)
-		}
-	}
-	return view, nil
-}
-
-// installViewLocked caches a just-built view. The base length is read
-// before the build began would be strictly safer, but reading it here
-// only risks caching a view the next query rebuilds — never serving
-// items twice. Caller holds r.mu.
-func (r *Root) installViewLocked(view *streamagg.Pipeline) {
-	r.view = view
-	r.viewVer = r.ver
-	r.viewBaseLen = r.base.StreamLen()
-	r.viewRebuilds.Inc()
-}
-
 // View returns the pipeline queries should read: the base itself while
 // no full-mode contributions exist (delta pushes land in the base
-// directly), otherwise the cached clone(base) ⊕ contributions merge,
-// rebuilt when a push or local ingest invalidated it. The returned
-// pipeline is read-only for the caller.
+// directly), otherwise the cached clone(base) ⊕ contributions, rebuilt
+// when a push or local ingest invalidated it. The returned pipeline is
+// read-only for the caller.
 func (r *Root) View() *streamagg.Pipeline {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	hasContrib := false
-	for _, ns := range r.nodes {
-		if ns.contrib != nil {
-			hasContrib = true
-			break
-		}
-	}
-	if !hasContrib {
+	if r.overlay.Len() == 0 {
 		return r.base
 	}
 	if r.view != nil && r.viewVer == r.ver && r.viewBaseLen == r.base.StreamLen() {
 		r.viewHits.Inc()
 		return r.view
 	}
-	view, err := r.rebuildLocked()
+	view, baseLen, err := r.overlay.Build()
 	if err != nil {
 		// Every contribution merged cleanly when it landed; only an
 		// out-of-band base replacement (restore) can break the overlay.
 		// Serve local-only state rather than failing reads.
 		return r.base
 	}
-	r.installViewLocked(view)
+	// baseLen is the length of the clone the view was built from, not
+	// the base's now: a batch that lands mid-build must leave the view
+	// stale, not be taken as already in it.
+	r.view, r.viewVer, r.viewBaseLen = view, r.ver, baseLen
+	r.viewRebuilds.Inc()
 	return view
 }
 

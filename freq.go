@@ -100,26 +100,26 @@ func (f *FreqEstimator) SpaceWords() (w int) {
 // interface), preserving f_e - ε(m_f+m_o) <= Estimate(e) <= f_e. A
 // capacity mismatch is rejected: merging in a coarser summary would
 // silently import its larger undercount and break f's advertised bound.
-func (f *FreqEstimator) Merge(other Aggregate) error {
-	o, ok := other.(*FreqEstimator)
-	if !ok {
-		return fmt.Errorf("%w: cannot merge %s into %s", ErrIncompatibleMerge, other.Kind(), f.Kind())
+func (f *FreqEstimator) Merge(other Aggregate) error { return f.fold(other, foldMerge) }
+
+func (f *FreqEstimator) fold(other Aggregate, op foldOp) error {
+	o, err := mergeArg(f, other)
+	if err != nil {
+		return err
 	}
-	if o == f {
-		return fmt.Errorf("%w: aggregate merged with itself", ErrIncompatibleMerge)
+	if op == foldSubtract {
+		return fmt.Errorf("%w: a Misra-Gries summary cannot subtract", ErrIncompatibleMerge)
 	}
-	var clone *mg.Summary
-	var olen int64
-	o.read(func() { clone, olen = o.impl.Clone(), o.streamLen })
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.impl.Capacity() != clone.Capacity() {
-		return fmt.Errorf("%w: summary capacity mismatch (%d vs %d)",
-			ErrIncompatibleMerge, f.impl.Capacity(), clone.Capacity())
-	}
-	f.impl.Merge(clone)
-	f.streamLen += olen
-	return nil
+	return f.lockPair(&o.gate, op, func() error {
+		if f.impl.Capacity() != o.impl.Capacity() {
+			return fmt.Errorf("%w: summary capacity mismatch (%d vs %d)",
+				ErrIncompatibleMerge, f.impl.Capacity(), o.impl.Capacity())
+		}
+		if op == foldMerge {
+			f.impl.Merge(o.impl)
+		}
+		return nil
+	})
 }
 
 func sortByCountDesc(xs []ItemCount) {

@@ -56,6 +56,34 @@ func (g *gate) read(f func()) {
 	f()
 }
 
+// lockPair runs f, one step of folding o into g, with o read-locked and
+// g write-locked (read-locked for foldCheck), then moves g's stream
+// position by o's when f succeeds. The argument is read in place rather
+// than copied first: holding both gates is safe while merges form no
+// cycle, and concurrent mutual merges (a into b while b into a) are not
+// supported (Merger).
+func (g *gate) lockPair(o *gate, op foldOp, f func() error) error {
+	if op == foldCheck {
+		g.mu.RLock()
+		defer g.mu.RUnlock()
+	} else {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+	}
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	if err := f(); err != nil {
+		return err
+	}
+	switch op {
+	case foldMerge:
+		g.streamLen += o.streamLen
+	case foldSubtract:
+		g.streamLen -= o.streamLen
+	}
+	return nil
+}
+
 // StreamLen reports the number of stream elements ingested so far
 // (items, bits, or values, depending on the aggregate).
 func (g *gate) StreamLen() int64 {

@@ -18,13 +18,14 @@ func (g *Summary) Merge(o *Summary) {
 	g.m += o.m
 }
 
-// Clone returns a deep copy of the summary.
+// Clone returns a deep copy of the summary, rolling salt included, so a
+// clone checkpoints to the same bytes as the original.
 func (g *Summary) Clone() *Summary {
 	c := NewWithCapacity(g.capS)
 	c.entries = make([]hist.Entry, len(g.entries))
 	copy(c.entries, g.entries)
 	c.m = g.m
-	c.seed = g.seed + 0x9e37
+	c.seed = g.seed
 	c.reindex()
 	return c
 }

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// BenchmarkGrainAblation quantifies the fork-grain design choice
-// (DESIGN.md §4): too-small grains drown in goroutine overhead,
+// BenchmarkGrainAblation quantifies the fork-grain design choice:
+// too-small grains drown in goroutine overhead,
 // too-large grains forfeit parallelism. DefaultGrain sits on the
 // plateau.
 func BenchmarkGrainAblation(b *testing.B) {

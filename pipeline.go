@@ -347,14 +347,14 @@ func (p *Pipeline) Quantile(name string, q float64) (uint64, error) {
 // in only one pipeline are left untouched — a root may serve a superset
 // of what its edges push, and vice versa.
 //
-// Merge is atomic: every pair is validated against a clone of the
-// receiver's member first, and p is modified only if all of them
-// succeed. An empty intersection, a kind mismatch, a non-mergeable
-// common kind, or incompatible parameters all return an error wrapping
-// ErrIncompatibleMerge and leave p unchanged. Merging serializes with
-// ProcessBatch and MarshalBinary, so it lands at a clean minibatch
-// boundary; the argument is only read. Concurrent mutual merges
-// (a.Merge(b) while b.Merge(a)) are not supported.
+// Merge is atomic: every pair is checked first, and p is modified only
+// if all of them pass. An empty intersection, a kind mismatch, a
+// non-mergeable common kind, or incompatible parameters all return an
+// error wrapping ErrIncompatibleMerge and leave p unchanged. Merging
+// serializes with ProcessBatch and MarshalBinary, so it lands at a clean
+// minibatch boundary; the argument is only read, in place, under its
+// members' query gates. Concurrent mutual merges (a.Merge(b) while
+// b.Merge(a)) are not supported.
 func (p *Pipeline) Merge(other *Pipeline) error {
 	if other == nil {
 		return fmt.Errorf("%w: nil pipeline", ErrBadParam)
@@ -379,30 +379,19 @@ func (p *Pipeline) Merge(other *Pipeline) error {
 			return fmt.Errorf("%w: aggregate %q is %s here but %s in the merged pipeline",
 				ErrIncompatibleMerge, name, dst.Kind(), src.Kind())
 		}
-		if _, ok := dst.(Merger); !ok {
-			return fmt.Errorf("%w: aggregate %q (%s) does not support merging",
-				ErrIncompatibleMerge, name, dst.Kind())
+		// The check is the same one each kind's merge makes, so a clean
+		// pass over every pair guarantees the merges below cannot fail
+		// half-way and leave p partially merged.
+		if err := foldInto(dst, src, foldCheck); err != nil {
+			return fmt.Errorf("streamagg: merging aggregate %q: %w", name, err)
 		}
 		pairs = append(pairs, pair{name, dst, src})
 	}
 	if len(pairs) == 0 {
 		return fmt.Errorf("%w: pipelines share no aggregate names", ErrIncompatibleMerge)
 	}
-	// Dry run every pair against a clone of the receiver's member: the
-	// parameter checks inside each kind's Merge are deterministic, so a
-	// clean pass here guarantees the real pass below cannot fail
-	// half-way and leave p partially merged.
 	for _, pr := range pairs {
-		probe, err := cloneAggregate(pr.dst)
-		if err != nil {
-			return fmt.Errorf("streamagg: merging aggregate %q: %w", pr.name, err)
-		}
-		if err := probe.(Merger).Merge(pr.src); err != nil {
-			return fmt.Errorf("streamagg: merging aggregate %q: %w", pr.name, err)
-		}
-	}
-	for _, pr := range pairs {
-		if err := pr.dst.(Merger).Merge(pr.src); err != nil {
+		if err := foldInto(pr.dst, pr.src, foldMerge); err != nil {
 			return fmt.Errorf("streamagg: merging aggregate %q: %w", pr.name, err)
 		}
 	}
@@ -411,17 +400,25 @@ func (p *Pipeline) Merge(other *Pipeline) error {
 }
 
 // Clone returns a deep copy of the pipeline at the current minibatch
-// boundary: same names, kinds, and state, sharing nothing with p. The
-// federation root builds its merged serving view from one.
+// boundary: same names, kinds, and state, sharing nothing with p. Each
+// member is copied with cloneAggregate under the ingest lock, so the
+// copy and its StreamLen are of one batch boundary and checkpoint to the
+// same bytes as p. The federation root builds its merged serving view
+// from one.
 func (p *Pipeline) Clone() (*Pipeline, error) {
-	data, err := p.MarshalBinary()
-	if err != nil {
-		return nil, err
+	p.batch.Lock()
+	defer p.batch.Unlock()
+	ms := p.snapshot()
+	out := &Pipeline{aggs: make(map[string]Aggregate, len(ms)), members: make([]member, 0, len(ms))}
+	for _, m := range ms {
+		c, err := cloneAggregate(m.agg)
+		if err != nil {
+			return nil, fmt.Errorf("streamagg: cloning pipeline aggregate %q: %w", m.name, err)
+		}
+		out.aggs[m.name] = c
+		out.members = append(out.members, newMember(m.name, c))
 	}
-	out := NewPipeline()
-	if err := out.UnmarshalBinary(data); err != nil {
-		return nil, err
-	}
+	out.streamLen.Store(p.streamLen.Load())
 	return out, nil
 }
 

@@ -364,10 +364,20 @@ func (s *Sharded) Quantile(q float64) (out uint64) {
 }
 
 // cloneMergeable deep-copies one of the mergeable kinds under its read
-// lock — the cheap memcpy path Snapshot uses for shard 0, avoiding a
-// gob round trip per query.
+// lock — the cheap memcpy path Snapshot uses for shard 0 and Clone for
+// every mergeable member, avoiding a gob round trip per copy.
 func cloneMergeable(agg Aggregate) (Aggregate, bool) {
 	switch a := agg.(type) {
+	case *Sharded:
+		out := &Sharded{}
+		a.read(func() {
+			out.inner, out.streamLen = a.inner, a.streamLen
+			out.shards = make([]Aggregate, len(a.shards))
+			for i, sh := range a.shards {
+				out.shards[i], _ = cloneMergeable(sh) // every shardable kind is mergeable
+			}
+		})
+		return out, true
 	case *FreqEstimator:
 		out := &FreqEstimator{}
 		a.read(func() { out.impl, out.streamLen = a.impl.Clone(), a.streamLen })
@@ -467,69 +477,40 @@ func (s *Sharded) Snapshot() (Aggregate, error) {
 // slice and the per-shard merges preserve the disjoint-keyspace routing
 // that point queries rely on. Mismatched layouts (or a self-merge)
 // return an error wrapping ErrIncompatibleMerge; the receiver is
-// unchanged on any error — the merge runs on clones and is installed
-// only when every shard pair succeeded.
-func (s *Sharded) Merge(other Aggregate) error {
-	o, ok := other.(*Sharded)
-	if !ok {
-		return fmt.Errorf("%w: cannot merge %s into %s",
-			ErrIncompatibleMerge, other.Kind(), KindSharded)
-	}
-	if o == s {
-		return fmt.Errorf("%w: cannot merge an aggregate with itself", ErrIncompatibleMerge)
-	}
+// unchanged on any error — every shard pair is checked before any shard
+// merges.
+func (s *Sharded) Merge(other Aggregate) error { return s.fold(other, foldMerge) }
 
-	// Snapshot the argument under its own gate first, before taking our
-	// write lock — the same order freq.go uses, so a concurrent
-	// s.Merge(o) / o.ProcessBatch pair cannot deadlock. (Concurrent
-	// mutual merges remain unsupported, as for every Merger.)
-	var (
-		oInner   Kind
-		oShards  []Aggregate
-		oLen     int64
-		cloneErr error
-	)
-	o.read(func() {
-		oInner, oLen = o.inner, o.streamLen
-		oShards = make([]Aggregate, len(o.shards))
-		for i, sh := range o.shards {
-			c, ok := cloneMergeable(sh)
-			if !ok {
-				cloneErr = fmt.Errorf("%w: %s does not support merging", ErrBadParam, o.inner)
-				return
+func (s *Sharded) fold(other Aggregate, op foldOp) error {
+	o, err := mergeArg(s, other)
+	if err != nil {
+		return err
+	}
+	return s.lockPair(&o.gate, op, func() error {
+		if o.inner != s.inner {
+			return fmt.Errorf("%w: sharded inner kinds differ (%s vs %s)",
+				ErrIncompatibleMerge, s.inner, o.inner)
+		}
+		if len(o.shards) != len(s.shards) {
+			return fmt.Errorf("%w: shard counts differ (%d vs %d)",
+				ErrIncompatibleMerge, len(s.shards), len(o.shards))
+		}
+		for i, sh := range s.shards {
+			if err := foldInto(sh, o.shards[i], foldCheck); err != nil {
+				return fmt.Errorf("streamagg: merging shard %d: %w", i, err)
 			}
-			oShards[i] = c
 		}
+		if op == foldCheck {
+			return nil
+		}
+		s.invalidateSnap()
+		for i, sh := range s.shards {
+			if err := foldInto(sh, o.shards[i], op); err != nil {
+				return fmt.Errorf("streamagg: merging shard %d: %w", i, err)
+			}
+		}
+		return nil
 	})
-	if cloneErr != nil {
-		return cloneErr
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if oInner != s.inner {
-		return fmt.Errorf("%w: sharded inner kinds differ (%s vs %s)",
-			ErrIncompatibleMerge, s.inner, oInner)
-	}
-	if len(oShards) != len(s.shards) {
-		return fmt.Errorf("%w: shard counts differ (%d vs %d)",
-			ErrIncompatibleMerge, len(s.shards), len(oShards))
-	}
-	merged := make([]Aggregate, len(s.shards))
-	for i, sh := range s.shards {
-		c, ok := cloneMergeable(sh)
-		if !ok {
-			return fmt.Errorf("%w: %s does not support merging", ErrBadParam, s.inner)
-		}
-		if err := c.(Merger).Merge(oShards[i]); err != nil {
-			return fmt.Errorf("streamagg: merging shard %d: %w", i, err)
-		}
-		merged[i] = c
-	}
-	s.invalidateSnap()
-	s.shards = merged
-	s.streamLen += oLen
-	return nil
 }
 
 // shardedState is the body of a sharded checkpoint: the inner kind plus
