@@ -29,8 +29,7 @@ func benchPipeline(b *testing.B, withMG bool) *streamagg.Pipeline {
 
 // BenchmarkRootApply measures one full-mode push plus the view rebuild
 // it causes, at K nodes that have all pushed once: ms/apply should not
-// grow with K for the linear kinds, and only by log K merges for
-// Misra–Gries.
+// grow with K for the linear kinds; Misra–Gries adds K merges per view.
 func BenchmarkRootApply(b *testing.B) {
 	for _, pipe := range []struct {
 		name   string

@@ -63,10 +63,10 @@ type nodeState struct {
 // global view. Full-mode contributions are kept per node and overlaid
 // on the base (latest-wins, so resends are idempotent); delta-mode
 // pushes merge directly into the base. A full push costs the same
-// whatever the number of nodes: the overlay keeps the contributions'
-// running sum, and the view is built from it lazily, at most once per
-// change. Safe for concurrent use; the base may keep ingesting local
-// traffic throughout.
+// whatever the number of nodes: the overlay keeps the running sum of the
+// contributions' linear members, and the view is built from it lazily,
+// at most once per change. Safe for concurrent use; the base may keep
+// ingesting local traffic throughout.
 type Root struct {
 	base *streamagg.Pipeline
 	now  func() time.Time

@@ -439,3 +439,75 @@ func TestRootRejectedPushLeavesViewUntouched(t *testing.T) {
 		t.Fatalf("replay of the last applied push: %v, want duplicate (watermark moved)", err)
 	}
 }
+
+// TestRootIgnoresMembersTheBaseLacks: a member the root does not serve
+// is neither checked nor summed, as Pipeline.Merge ignores it, so edges
+// may push extras that disagree in kind or parameters, and change them
+// from one push to the next — also a member the base loses to a restore
+// after the root has summed it.
+func TestRootIgnoresMembersTheBaseLacks(t *testing.T) {
+	base := propPipeline(t)
+	root := NewRoot(base, nil)
+	edge := func(seed int64, kind streamagg.Kind, opts ...streamagg.Option) *streamagg.Pipeline {
+		p := propPipeline(t)
+		if _, err := p.Add("extra", kind, opts...); err != nil {
+			t.Fatal(err)
+		}
+		feed(t, p, workload.Zipf(seed, 1000, 1.2, propUniverse))
+		return p
+	}
+	pushes := []struct {
+		node string
+		p    *streamagg.Pipeline
+	}{
+		{"edge-1", edge(1, streamagg.KindCountMin, streamagg.WithEpsilon(0.01), streamagg.WithSeed(1))},
+		{"edge-2", edge(2, streamagg.KindCountMin, streamagg.WithEpsilon(0.05), streamagg.WithSeed(2))},
+		{"edge-3", edge(3, streamagg.KindFreq, streamagg.WithEpsilon(0.1))},
+		{"edge-1", edge(4, streamagg.KindCountSketch, streamagg.WithEpsilon(0.1), streamagg.WithSeed(3))},
+	}
+	for i, ps := range pushes {
+		if err := root.Apply(pipelineEnvelope(t, ps.p, ps.node, 1, uint64(i+1), ModeFull)); err != nil {
+			t.Fatalf("push %d from %s: %v", i, ps.node, err)
+		}
+		root.View() // sums the served members, so the next push updates them
+	}
+	view := root.View()
+	if _, ok := view.Get("extra"); ok {
+		t.Fatal("the view serves a member the base lacks")
+	}
+	if got, want := view.StreamLen(), int64(3*1000); got != want {
+		t.Fatalf("view StreamLen = %d, want %d", got, want)
+	}
+
+	// Restore the base without "cm"; then a cm of other parameters must
+	// land. withCM is propPipeline with cm built from opts, or without cm
+	// when there are none.
+	withCM := func(cm ...streamagg.Option) *streamagg.Pipeline {
+		p := streamagg.NewPipeline()
+		for _, s := range propSpecs {
+			opts := s.opts
+			if s.name == "cm" {
+				if cm == nil {
+					continue
+				}
+				opts = cm
+			}
+			if _, err := p.Add(s.name, s.kind, opts...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return p
+	}
+	if err := base.UnmarshalBinary(mustMarshal(t, withCM())); err != nil {
+		t.Fatal(err)
+	}
+	root.Invalidate()
+	alien := withCM(streamagg.WithEpsilon(0.2), streamagg.WithSeed(9))
+	feed(t, alien, workload.Zipf(5, 1000, 1.2, propUniverse))
+	if err := root.Apply(pipelineEnvelope(t, alien, "edge-2", 1, uint64(len(pushes)+1), ModeFull)); err != nil {
+		t.Fatalf("push after the base lost cm: %v", err)
+	}
+	if _, ok := root.View().Get("cm"); ok {
+		t.Fatal("the view serves cm after the base lost it")
+	}
+}

@@ -8,24 +8,21 @@ import (
 // Overlay maintains base ⊕ Σ parts for a set of keyed parts, each
 // replaced wholesale — the federation root's global view, where every
 // edge node's latest full-mode push is one part. Re-merging every part
-// on each change costs K merges for K parts; Overlay keeps the parts'
-// sum member by member instead, so replacing a part costs O(1) merges
-// for the linear kinds and O(log K) for the others:
+// on each change costs K merges for K parts; Overlay keeps, for each
+// linear member the base has (count-min, count-min-range, count-sketch,
+// and Sharded over them), one accumulator equal to the cell-wise sum of
+// the parts' members of that name, updated as acc += new − old. Their
+// state is a sum over the stream, so the accumulator is exact and
+// replacing a part costs O(1) merges whatever K is. Misra–Gries cannot
+// subtract: Build merges its parts' members one by one, in sorted-key
+// order.
 //
-//   - Linear members (count-min, count-min-range, count-sketch, and
-//     Sharded over them) keep one accumulator equal to the cell-wise sum
-//     of the parts' members, updated as acc += new − old. Their state is
-//     a sum over the stream, so the accumulator is exact.
-//   - Misra–Gries cannot subtract. Its members sit at the leaves of a
-//     tournament tree over the part keys in sorted order, each inner node
-//     the merge of its two children [ACH+13]: replacing a part re-merges
-//     its O(log K) ancestors, and a new key rebuilds the tree once.
-//
-// Every sum depends only on the current parts, not on the order they
-// arrived or were replaced in: addition commutes, the tree's shape is
-// fixed by the sorted keys, and each node is a function of its children.
-// Two overlays holding the same parts over equal bases therefore build
-// byte-identical views.
+// Only members the base has are checked and summed; a part's other
+// members are ignored, as Pipeline.Merge ignores them. Every sum depends
+// only on the current parts, not on the order they arrived or were
+// replaced in: addition commutes, and the Misra–Gries merge order is
+// fixed by the keys. Two overlays holding the same parts over equal
+// bases therefore build byte-identical views.
 //
 // An Overlay is not safe for concurrent use; the base may keep ingesting
 // while it builds.
@@ -34,28 +31,15 @@ type Overlay struct {
 	keys    []string    // part keys, sorted
 	parts   []*Pipeline // parts[i] is keys[i]'s latest part
 	partLen int64       // Σ parts' StreamLen
-	size    int         // leaves per tree: the least power of two >= len(keys)
-	sums    map[string]*memberSum
-}
-
-// memberSum is the running sum of one member name over the parts.
-type memberSum struct {
-	linear bool
-	acc    Aggregate   // linear: Σ of the parts' members; nil until one arrives
-	tree   []Aggregate // otherwise: tree[1] is the root, leaf i is tree[size+i]; nil is an empty subtree
-}
-
-// total returns the sum of the parts' members, nil when there is none.
-func (s *memberSum) total() Aggregate {
-	if s.linear {
-		return s.acc
-	}
-	return s.tree[1]
+	// sums maps a linear member name of the base to the sum of the
+	// parts' members of that name, nil while no part has one. A name is
+	// summed from the parts on its first Build and kept current by Put.
+	sums map[string]Aggregate
 }
 
 // NewOverlay returns an overlay with no parts over base.
 func NewOverlay(base *Pipeline) *Overlay {
-	return &Overlay{base: base, sums: make(map[string]*memberSum)}
+	return &Overlay{base: base, sums: make(map[string]Aggregate)}
 }
 
 // Len reports the number of parts.
@@ -63,13 +47,11 @@ func (o *Overlay) Len() int { return len(o.parts) }
 
 // Put makes part the latest part under key, replacing any earlier one.
 // part is checked before anything changes: it must share at least one
-// member name with the base, and each of its members must merge with the
-// base's member and with the running sum of the same name (same kind,
+// member name with the base, and each shared member must merge with the
+// base's member and with the running sum of that name (same kind,
 // parameters and hash seeds). Otherwise Put returns an error wrapping
-// ErrIncompatibleMerge and the overlay is untouched. Members of
-// mergeable kinds are summed even when the base lacks them (a restored
-// base may gain them); other members the base lacks are ignored. The
-// overlay keeps part and only reads it: the caller must not modify it.
+// ErrIncompatibleMerge and the overlay is untouched. The overlay keeps
+// part and only reads it: the caller must not modify it.
 func (o *Overlay) Put(key string, part *Pipeline) error {
 	if part == nil {
 		return fmt.Errorf("%w: nil pipeline", ErrBadParam)
@@ -86,49 +68,41 @@ func (o *Overlay) Put(key string, part *Pipeline) error {
 	} else {
 		o.keys = slices.Insert(o.keys, i, key)
 		o.parts = slices.Insert(o.parts, i, part)
-		for o.size < len(o.keys) {
-			o.size = max(1, 2*o.size)
-		}
 	}
 	o.partLen += part.StreamLen()
 
-	for _, m := range part.snapshot() {
-		if _, ok := m.agg.(folder); ok && o.sums[m.name] == nil {
-			o.sums[m.name] = &memberSum{linear: linear(m.agg)}
+	// Cannot fail once check passed: every pair below was checked, and
+	// typed clones do not fail.
+	for name, acc := range o.sums {
+		if _, ok := o.base.Get(name); !ok {
+			// The base lost the name (a restore); sum it afresh if it
+			// comes back.
+			delete(o.sums, name)
+			continue
 		}
-	}
-	// The steps below cannot fail once check passed: every pair they
-	// merge or subtract was checked, and typed clones do not fail.
-	for name, s := range o.sums {
-		nw, od := summand(part, name), summand(old, name)
-		var err error
-		switch {
-		case s.linear:
-			err = s.replace(nw, od)
-		case !found || s.tree == nil: // a new key moved the leaves, or a new name
-			err = o.build(name, s)
-		case nw != nil || od != nil:
-			err = o.setLeaf(s, i, nw)
-		}
+		acc, err := replace(acc, memberOf(part, name), memberOf(old, name))
 		if err != nil {
 			return err
 		}
+		o.sums[name] = acc
 	}
 	return nil
 }
 
-// check validates part against the base and the running sums.
+// check validates part's members against the base's and the running sums.
 func (o *Overlay) check(part *Pipeline) error {
 	shared := false
 	for _, m := range part.snapshot() {
-		if dst, ok := o.base.Get(m.name); ok {
-			shared = true
-			if err := foldInto(dst, m.agg, foldCheck); err != nil {
-				return fmt.Errorf("streamagg: merging aggregate %q: %w", m.name, err)
-			}
+		dst, ok := o.base.Get(m.name)
+		if !ok {
+			continue
 		}
-		if s := o.sums[m.name]; s != nil && s.total() != nil {
-			if err := foldInto(s.total(), m.agg, foldCheck); err != nil {
+		shared = true
+		if err := foldInto(dst, m.agg, foldCheck); err != nil {
+			return fmt.Errorf("streamagg: merging aggregate %q: %w", m.name, err)
+		}
+		if acc := o.sums[m.name]; acc != nil {
+			if err := foldInto(acc, m.agg, foldCheck); err != nil {
 				return fmt.Errorf("streamagg: merging aggregate %q: %w", m.name, err)
 			}
 		}
@@ -139,92 +113,81 @@ func (o *Overlay) check(part *Pipeline) error {
 	return nil
 }
 
-// summand returns p's member name when the sums track it, else nil.
-func summand(p *Pipeline, name string) Aggregate {
+// memberOf returns p's member name, nil when p is nil or lacks it.
+func memberOf(p *Pipeline, name string) Aggregate {
 	if p == nil {
 		return nil
 	}
-	agg, ok := p.Get(name)
-	if _, mergeable := agg.(folder); !ok || !mergeable {
-		return nil
-	}
+	agg, _ := p.Get(name)
 	return agg
 }
 
-// replace moves a linear sum from old to nw: acc += nw − old.
-func (s *memberSum) replace(nw, old Aggregate) error {
+// replace returns acc + nw − old for a linear sum, modifying acc in
+// place; a nil acc is an empty sum, a nil nw or old an absent member.
+func replace(acc, nw, old Aggregate) (Aggregate, error) {
 	if nw != nil {
-		if s.acc == nil {
-			acc, err := cloneAggregate(nw)
+		if acc == nil {
+			c, err := cloneAggregate(nw)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			s.acc = acc
-		} else if err := foldInto(s.acc, nw, foldMerge); err != nil {
-			return err
+			acc = c
+		} else if err := foldInto(acc, nw, foldMerge); err != nil {
+			return nil, err
 		}
 	}
 	if old != nil {
-		return foldInto(s.acc, old, foldSubtract)
+		if err := foldInto(acc, old, foldSubtract); err != nil {
+			return nil, err
+		}
 	}
-	return nil
+	return acc, nil
 }
 
-// build fills name's tree from the parts, bottom up.
-func (o *Overlay) build(name string, s *memberSum) error {
-	s.tree = make([]Aggregate, 2*o.size)
-	for i, p := range o.parts {
-		s.tree[o.size+i] = summand(p, name)
+// sum returns the running sum of the parts' members under name, summing
+// them on first use.
+func (o *Overlay) sum(name string) (Aggregate, error) {
+	if acc, ok := o.sums[name]; ok {
+		return acc, nil
 	}
-	for j := o.size - 1; j >= 1; j-- {
+	var acc Aggregate
+	for _, p := range o.parts {
 		var err error
-		if s.tree[j], err = join(s.tree[2*j], s.tree[2*j+1]); err != nil {
+		if acc, err = replace(acc, memberOf(p, name), nil); err != nil {
+			return nil, err
+		}
+	}
+	o.sums[name] = acc
+	return acc, nil
+}
+
+// mergeParts merges the parts' members named m.name into m: a linear
+// member's running sum in one step, any other one part by part in key
+// order.
+func (o *Overlay) mergeParts(m member) error {
+	if linear(m.agg) {
+		acc, err := o.sum(m.name)
+		if err != nil || acc == nil {
 			return err
+		}
+		return foldInto(m.agg, acc, foldMerge)
+	}
+	for _, p := range o.parts {
+		if agg := memberOf(p, m.name); agg != nil {
+			if err := foldInto(m.agg, agg, foldMerge); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
-}
-
-// setLeaf replaces leaf i of s's tree and re-merges its ancestors.
-func (o *Overlay) setLeaf(s *memberSum, i int, leaf Aggregate) error {
-	j := o.size + i
-	s.tree[j] = leaf
-	for j >>= 1; j >= 1; j >>= 1 {
-		var err error
-		if s.tree[j], err = join(s.tree[2*j], s.tree[2*j+1]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// join returns the merge of two subtrees: the non-empty one itself when
-// the other is empty, else a clone of a with b merged in. A node is
-// never modified once built, so sharing it with an ancestor is safe.
-func join(a, b Aggregate) (Aggregate, error) {
-	if a == nil {
-		return b, nil
-	}
-	if b == nil {
-		return a, nil
-	}
-	c, err := cloneAggregate(a)
-	if err != nil {
-		return nil, err
-	}
-	if err := foldInto(c, b, foldMerge); err != nil {
-		return nil, err
-	}
-	return c, nil
 }
 
 // Build returns a new pipeline holding base ⊕ Σ parts — a clone of the
-// base with each running sum merged into the member of the same name —
+// base with the parts' members merged into the member of the same name —
 // and the base's StreamLen as of that clone, which is all of the base
-// the view reflects however much the base ingests meanwhile. Sums for
-// names the base lacks are skipped. The error is non-nil only if the
-// base changed out of band (a restore) into something the sums no
-// longer merge with.
+// the view reflects however much the base ingests meanwhile. The error
+// is non-nil only if the base changed out of band (a restore) into
+// something the parts no longer merge with.
 func (o *Overlay) Build() (*Pipeline, int64, error) {
 	view, err := o.base.Clone()
 	if err != nil {
@@ -232,10 +195,8 @@ func (o *Overlay) Build() (*Pipeline, int64, error) {
 	}
 	baseLen := view.StreamLen()
 	for _, m := range view.snapshot() {
-		if s := o.sums[m.name]; s != nil && s.total() != nil {
-			if err := foldInto(m.agg, s.total(), foldMerge); err != nil {
-				return nil, 0, fmt.Errorf("streamagg: merging the parts' %q: %w", m.name, err)
-			}
+		if err := o.mergeParts(m); err != nil {
+			return nil, 0, fmt.Errorf("streamagg: merging the parts' %q: %w", m.name, err)
 		}
 	}
 	view.streamLen.Add(o.partLen)
