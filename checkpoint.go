@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/bcount"
 	"repro/internal/cms"
-	"repro/internal/countsketch"
 	"repro/internal/mg"
 	"repro/internal/swfreq"
 	"repro/internal/wsum"
@@ -134,11 +133,11 @@ func (c *CountMinRange) UnmarshalBinary(data []byte) error {
 
 // MarshalBinary checkpoints the sketch between minibatches.
 func (c *CountSketch) MarshalBinary() ([]byte, error) {
-	return marshalAgg(&c.gate, KindCountSketch, func() countsketch.State { return c.impl.State() })
+	return marshalAgg(&c.gate, KindCountSketch, func() cms.State { return c.impl.State() })
 }
 
 // UnmarshalBinary restores a checkpoint made by MarshalBinary.
 func (c *CountSketch) UnmarshalBinary(data []byte) error {
-	return unmarshalAgg(&c.gate, KindCountSketch, data, countsketch.FromState,
-		func(impl *countsketch.Sketch) { c.impl = impl })
+	return unmarshalAgg(&c.gate, KindCountSketch, data, cms.CountSketchFromState,
+		func(impl *cms.CountSketch) { c.impl = impl })
 }

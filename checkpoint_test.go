@@ -3,8 +3,10 @@ package streamagg
 import (
 	"encoding"
 	"errors"
+	"strings"
 	"testing"
 
+	"repro/internal/cms"
 	"repro/internal/workload"
 )
 
@@ -175,6 +177,41 @@ func TestCheckpointGarbage(t *testing.T) {
 	var f FreqEstimator
 	if err := f.UnmarshalBinary([]byte("not a checkpoint")); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// schemeZeroCheckpoints seals count-min, count-sketch and
+// count-min-range envelopes whose state (for count-min-range, one level)
+// has hash scheme 0: what a checkpoint written before derived-row
+// hashing decodes as.
+func schemeZeroCheckpoints(tb testing.TB) [][]byte {
+	tb.Helper()
+	st := cms.NewWithDims(2, 8, 5).State()
+	st.Scheme = 0
+	rs := cms.NewRange(3, 0.5, 0.5, 1).State()
+	rs.Levels[1].Scheme = 0
+	var out [][]byte
+	for _, c := range []struct {
+		kind  Kind
+		state any
+	}{{KindCountMin, st}, {KindCountSketch, st}, {KindCountMinRange, rs}} {
+		data, err := seal(c.kind, 3, c.state)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, data)
+	}
+	return out
+}
+
+// TestCheckpointSchemeZeroRejected: a scheme-0 envelope is refused
+// through the public restore path, with the restore error that names
+// the scheme (internal/cms checks each FromState directly).
+func TestCheckpointSchemeZeroRejected(t *testing.T) {
+	for _, data := range schemeZeroCheckpoints(t) {
+		if agg, err := UnmarshalAggregate(data); err == nil || !strings.Contains(err.Error(), "hash scheme 0") {
+			t.Fatalf("UnmarshalAggregate on a scheme-0 envelope: %v, err %v", agg, err)
+		}
 	}
 }
 

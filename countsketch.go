@@ -1,7 +1,7 @@
 package streamagg
 
 import (
-	"repro/internal/countsketch"
+	"repro/internal/cms"
 	"repro/internal/hist"
 )
 
@@ -12,7 +12,7 @@ import (
 // |Query(e) - f_e| <= ε·‖f‖₂ with probability at least 1-δ.
 type CountSketch struct {
 	gate
-	impl *countsketch.Sketch
+	impl *cms.CountSketch
 }
 
 // NewCountSketch creates a sketch with error epsilon in (0, 1] (relative

@@ -12,7 +12,6 @@ import (
 
 	streamagg "repro"
 	"repro/internal/cms"
-	"repro/internal/countsketch"
 	"repro/internal/workload"
 )
 
@@ -99,7 +98,7 @@ func linearCells(t *testing.T, data []byte) any {
 		}
 		return []any{env.StreamLen, st}
 	case streamagg.KindCountSketch:
-		var st countsketch.State
+		var st cms.State
 		gobDecode(t, env.Body, &st)
 		st.Seed = 0
 		return []any{env.StreamLen, st}

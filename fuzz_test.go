@@ -67,6 +67,9 @@ func fuzzSeed(f *testing.F) {
 		f.Add(ckpt)
 		f.Add(ckpt[:len(ckpt)/2]) // truncated envelope
 	}
+	for _, ckpt := range schemeZeroCheckpoints(f) {
+		f.Add(ckpt) // well-formed but refused: hash scheme 0
+	}
 	f.Add([]byte{})
 	f.Add([]byte("garbage that is not gob"))
 }

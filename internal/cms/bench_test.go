@@ -66,3 +66,24 @@ func BenchmarkRangeCount(b *testing.B) {
 		_ = r.RangeCount(uint64(i%1000), uint64(i%1000)+1<<15)
 	}
 }
+
+func BenchmarkCountSketchProcessBatch(b *testing.B) {
+	bs := benchBatches(32, 1<<14)
+	s := NewCountSketch(0.01, 1e-3, 3)
+	b.SetBytes(1 << 14 * 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.ProcessBatch(bs[i%len(bs)])
+	}
+}
+
+func BenchmarkCountSketchQuery(b *testing.B) {
+	s := NewCountSketch(0.01, 1e-3, 3)
+	for _, batch := range benchBatches(8, 1<<14) {
+		s.ProcessBatch(batch)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = s.Query(uint64(i % 4096))
+	}
+}

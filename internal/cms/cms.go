@@ -1,66 +1,34 @@
-// Package cms implements the count-min sketch [CM05] with the paper's
-// parallel minibatch ingestion (Section 6, Theorem 6.1). The sketch is a
-// d×w counter array (d = ⌈ln(1/δ)⌉ rows, w = ⌈e/ε⌉ columns) with one
-// hash per row. A point query returns the minimum of the item's d cells
-// and satisfies f_e <= Query(e) <= f_e + εm with probability at least
-// 1-δ.
+// Package cms implements the two linear frequency sketches with the
+// paper's parallel minibatch ingestion (Section 6, Theorem 6.1): the
+// count-min sketch [CM05] (Sketch, plus the dyadic RangeSketch built
+// from it) and its signed twin, the Count-Sketch [CCFC02] (CountSketch).
+// Both are a d×w counter array (d = ⌈ln(1/δ)⌉ rows) that adds each
+// histogram entry to one cell per row, and they share that table; they
+// differ only in how an entry lands in a row and how a query reads it.
 //
-// Row addressing comes in two schemes. New sketches use SchemeDerived:
-// one 64-bit base hash per item, with row i's column derived as
-// (g1 + i·g2) mod w (Kirsch–Mitzenmacher [KM08]), so ingesting an item
-// into all d rows costs one hash plus d multiply-adds and the batch path
-// reuses per-instance scratch for zero steady-state allocations.
-// SchemeLegacyPairwise — one pairwise-independent modular hash per row —
-// is kept only so checkpoints written before the derived scheme restore
-// onto the exact cells they were built with.
+// Rows are addressed by one 64-bit base hash per item, with row i's
+// column derived as (g1 + i·g2) mod w (Kirsch–Mitzenmacher [KM08]), so
+// ingesting an item into all d rows costs one hash plus d multiply-adds
+// and the batch path reuses per-instance scratch for zero steady-state
+// allocations.
 //
 // Minibatch ingestion first builds a histogram (Theorem 2.3), then adds
-// each distinct item's total per row. Under the derived scheme each row
-// is owned by one writer goroutine, which preserves the CRCW-combining
-// single-writer property; the legacy path keeps the per-row column
-// sort the paper describes. Cost: O(d·max(µ, w)) work and polylog depth.
+// each distinct item's total per row, each row owned by one writer
+// goroutine, which preserves the CRCW-combining single-writer property.
+// Cost: O(d·max(µ, w)) work and polylog depth.
 package cms
 
 import (
 	"math"
 
-	"repro/internal/hashfn"
 	"repro/internal/hist"
 	"repro/internal/parallel"
 )
 
-// Hash-scheme tags, serialized in State.Scheme. The zero value must stay
-// SchemeLegacyPairwise: checkpoints written before the tag existed gob-
-// decode Scheme as 0 and their cells were addressed by pairwise hashing.
-const (
-	// SchemeLegacyPairwise draws one pairwise hash over GF(2^61-1) per
-	// row from math/rand (including the historical aliased key folding
-	// and correlated seed+i*k row seeding — bug-compatible on purpose,
-	// since restored cells are only readable with the hashes that wrote
-	// them). Reachable only by restoring an old checkpoint.
-	SchemeLegacyPairwise = 0
-	// SchemeDerived is the Kirsch–Mitzenmacher derived-row scheme over
-	// the full 64-bit key domain; the default for new sketches.
-	SchemeDerived = 1
-)
-
-// Sketch is a count-min sketch.
-type Sketch struct {
-	d, w     int
-	rows     [][]int64
-	scheme   int
-	base     hashfn.Derived    // SchemeDerived row addressing
-	hashes   []hashfn.Pairwise // SchemeLegacyPairwise row addressing
-	m        int64
-	hashSeed int64 // constructor seed: determines the hash functions
-	seed     int64 // rolling seed for per-batch histogram hashing
-
-	// Per-instance batch scratch, reused across ProcessBatch calls (the
-	// caller's write gate serializes them): the histogram builder plus
-	// the per-entry base-hash pairs shared by all rows.
-	hb     hist.Builder
-	g1, g2 []uint64
-}
+// Sketch is a count-min sketch: w = ⌈e/ε⌉ columns, and a point query
+// returns the minimum of the item's d cells, which satisfies
+// f_e <= Query(e) <= f_e + εm with probability at least 1-δ.
+type Sketch struct{ table }
 
 // New creates a sketch with error εm (ε in (0,1]) at failure probability
 // δ (in (0,1)): w = ⌈e/ε⌉ columns, d = ⌈ln(1/δ)⌉ rows.
@@ -71,80 +39,31 @@ func New(epsilon, delta float64, seed int64) *Sketch {
 	if delta <= 0 || delta >= 1 {
 		panic("cms: delta must be in (0, 1)")
 	}
-	w := int(math.Ceil(math.E / epsilon))
-	d := int(math.Ceil(math.Log(1 / delta)))
-	if d < 1 {
-		d = 1
-	}
-	return NewWithDims(d, w, seed)
+	return NewWithDims(depth(delta), int(math.Ceil(math.E/epsilon)), seed)
 }
 
-// NewWithDims creates a d×w sketch directly, using the derived-row
-// hashing scheme.
-func NewWithDims(d, w int, seed int64) *Sketch {
-	return NewWithDimsScheme(d, w, seed, SchemeDerived)
+// depth is d = ⌈ln(1/δ)⌉, at least 1.
+func depth(delta float64) int {
+	return max(1, int(math.Ceil(math.Log(1/delta))))
 }
 
-// NewWithDimsScheme creates a d×w sketch with an explicit hash scheme.
-// SchemeLegacyPairwise exists only for checkpoint restoration; new
-// sketches use SchemeDerived.
-func NewWithDimsScheme(d, w int, seed int64, scheme int) *Sketch {
-	if d < 1 || w < 1 {
-		panic("cms: dimensions must be >= 1")
-	}
-	if scheme != SchemeLegacyPairwise && scheme != SchemeDerived {
-		panic("cms: unknown hash scheme")
-	}
-	s := &Sketch{d: d, w: w, scheme: scheme, hashSeed: seed, seed: seed}
-	s.rows = make([][]int64, d)
-	flat := make([]int64, d*w)
-	for i := 0; i < d; i++ {
-		s.rows[i] = flat[i*w : (i+1)*w]
-	}
-	if scheme == SchemeDerived {
-		s.base = hashfn.NewDerived(uint64(w), seed)
-		return s
-	}
-	s.hashes = make([]hashfn.Pairwise, d)
-	for i := 0; i < d; i++ {
-		s.hashes[i] = hashfn.NewPairwise(uint64(w), seed+int64(i)*0x9e37+1)
-	}
-	return s
-}
+// NewWithDims creates a d×w sketch directly.
+func NewWithDims(d, w int, seed int64) *Sketch { return &Sketch{newTable(d, w, seed)} }
 
-// Depth returns d, the number of rows.
-func (s *Sketch) Depth() int { return s.d }
-
-// Width returns w, the number of columns.
-func (s *Sketch) Width() int { return s.w }
-
-// Scheme returns the row-addressing scheme tag.
-func (s *Sketch) Scheme() int { return s.scheme }
-
-// TotalCount returns m, the total weight ingested.
-func (s *Sketch) TotalCount() int64 { return s.m }
-
-// col returns row i's column for item under the sketch's scheme — the
-// reference addressing the sequential paths use; the batch path hoists
-// the base-hash computation out of the row loop.
-func (s *Sketch) col(i int, item uint64) uint64 {
-	if s.scheme == SchemeDerived {
-		return s.base.Hash(item, i)
+// FromState reconstructs a sketch, validating invariants.
+func FromState(st State) (*Sketch, error) {
+	t, err := fromState(st)
+	if err != nil {
+		return nil, err
 	}
-	return s.hashes[i].HashAliased(item)
+	return &Sketch{t}, nil
 }
 
 // Update adds count occurrences of item (the sequential reference path).
 func (s *Sketch) Update(item uint64, count int64) {
-	if s.scheme == SchemeDerived {
-		g1, g2 := s.base.Base(item)
-		for i := 0; i < s.d; i++ {
-			s.rows[i][s.base.Row(g1, g2, i)] += count
-		}
-	} else {
-		for i := 0; i < s.d; i++ {
-			s.rows[i][s.hashes[i].HashAliased(item)] += count
-		}
+	g1, g2 := s.base.Base(item)
+	for i, row := range s.rows {
+		row[s.base.Row(g1, g2, i)] += count
 	}
 	s.m += count
 }
@@ -162,57 +81,11 @@ func (s *Sketch) ProcessBatch(items []uint64) {
 	s.AddHistogram(s.hb.Build(items, s.seed^0x636d73))
 }
 
-// AddHistogram folds a precomputed histogram into the sketch; h is only
-// read. Under the derived scheme the base-hash pair is computed once per
-// entry (into reused scratch) and each row is folded by a single owner
-// goroutine — one hash per item, zero allocations in steady state. The
-// legacy scheme keeps the per-row column sort of the CRCW-combining
-// simulation.
+// AddHistogram folds a precomputed histogram (one entry per distinct
+// item) into the sketch; h is only read.
 //
 //agglint:hotpath
-func (s *Sketch) AddHistogram(h []hist.Entry) {
-	p := len(h)
-	if p == 0 {
-		return
-	}
-	if s.scheme == SchemeDerived {
-		s.addHistogramDerived(h)
-	} else {
-		s.addHistogramLegacy(h)
-	}
-	var add int64
-	for _, en := range h {
-		add += en.Freq
-	}
-	s.m += add
-}
-
-// grow returns buf resized to n, reallocating only when capacity grew.
-//
-//agglint:hotpath
-func grow(buf *[]uint64, n int) []uint64 {
-	if cap(*buf) < n {
-		*buf = make([]uint64, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-//agglint:hotpath
-func (s *Sketch) addHistogramDerived(h []hist.Entry) {
-	p := len(h)
-	grow(&s.g1, p)
-	grow(&s.g2, p)
-	if p*s.d < parallel.MinFork {
-		// Too few cell updates to pay for a fork-join (the upper levels
-		// of a dyadic stack carry a handful of entries each).
-		s.hashEntries(h, 0, p)
-		s.foldRows(h, 0, s.d)
-		return
-	}
-	parallel.Blocks(p, parallel.DefaultGrain, func(lo, hi int) { s.hashEntries(h, lo, hi) })
-	parallel.Blocks(s.d, 1, func(lo, hi int) { s.foldRows(h, lo, hi) })
-}
+func (s *Sketch) AddHistogram(h []hist.Entry) { s.addHistogram(h, s) }
 
 // hashEntries fills the base-hash scratch for entries [lo, hi) of h.
 //
@@ -237,47 +110,11 @@ func (s *Sketch) foldRows(h []hist.Entry, lo, hi int) {
 	}
 }
 
-func (s *Sketch) addHistogramLegacy(h []hist.Entry) {
-	p := len(h)
-	parallel.ForGrain(s.d, 1, func(i int) {
-		row := s.rows[i]
-		hash := s.hashes[i]
-		if p < 2048 {
-			// Small batches: one writer per row already owns all cells.
-			for _, en := range h {
-				row[hash.HashAliased(en.Item)] += en.Freq
-			}
-			return
-		}
-		cols := make([]uint32, p)
-		idx := make([]int32, p)
-		parallel.ForGrain(p, parallel.DefaultGrain, func(j int) {
-			cols[j] = uint32(hash.HashAliased(h[j].Item))
-			idx[j] = int32(j)
-		})
-		parallel.RadixSortPairs(cols, idx, uint32(s.w))
-		starts := parallel.PackIndices(p, func(j int) bool {
-			return j == 0 || cols[j] != cols[j-1]
-		})
-		parallel.ForGrain(len(starts), 8, func(b int) {
-			lo := starts[b]
-			hi := p
-			if b+1 < len(starts) {
-				hi = starts[b+1]
-			}
-			var total int64
-			for j := lo; j < hi; j++ {
-				total += h[idx[j]].Freq
-			}
-			row[cols[lo]] += total
-		})
-	})
-}
-
 // Query returns the point estimate for item: the minimum of its d cells,
 // computed with a parallel reduce (the paper's O(log log(1/δ))-depth
 // min).
 func (s *Sketch) Query(item uint64) int64 {
+	g1, g2 := s.base.Base(item)
 	return parallel.Reduce(s.d, 8, int64(1)<<62,
 		func(a, b int64) int64 {
 			if a < b {
@@ -288,7 +125,7 @@ func (s *Sketch) Query(item uint64) int64 {
 		func(lo, hi int) int64 {
 			best := int64(1) << 62
 			for i := lo; i < hi; i++ {
-				if v := s.rows[i][s.col(i, item)]; v < best {
+				if v := s.rows[i][s.base.Row(g1, g2, i)]; v < best {
 					best = v
 				}
 			}
@@ -296,25 +133,21 @@ func (s *Sketch) Query(item uint64) int64 {
 		})
 }
 
-// InnerProduct estimates the inner product of the frequency vectors
-// summarized by s and o, which must have identical dimensions and seeds
-// (a standard CM-sketch application).
-func (s *Sketch) InnerProduct(o *Sketch) int64 {
-	if s.d != o.d || s.w != o.w {
-		panic("cms: InnerProduct dimension mismatch")
-	}
-	best := int64(1) << 62
-	for i := 0; i < s.d; i++ {
-		var dot int64
-		for j := 0; j < s.w; j++ {
-			dot += s.rows[i][j] * o.rows[i][j]
-		}
-		if dot < best {
-			best = dot
-		}
-	}
-	return best
-}
+// Compatible reports whether o can merge into s: equal dimensions and
+// hash seed.
+func (s *Sketch) Compatible(o *Sketch) error { return s.compatible(&o.table) }
 
-// SpaceWords estimates the memory footprint in 64-bit words.
-func (s *Sketch) SpaceWords() int { return s.d*s.w + 3*s.d + 4 }
+// Merge folds another sketch into s cell-wise. Two count-min sketches
+// summarizing streams A and B with identical dimensions and hash
+// functions sum to the sketch of A ++ B exactly, so the merged sketch
+// keeps the εm guarantee with m = m_A + m_B — the mergeable-summaries
+// property [ACH+13] that sharded and distributed deployments rely on.
+// Incompatible sketches are rejected and s is left unchanged.
+func (s *Sketch) Merge(o *Sketch) error { return s.add(&o.table, 1) }
+
+// Subtract takes a sketch previously merged into s back out, cell-wise:
+// the sketch is linear, so Merge(o) then Subtract(o) restores s exactly.
+func (s *Sketch) Subtract(o *Sketch) error { return s.add(&o.table, -1) }
+
+// Clone returns a deep copy of the sketch.
+func (s *Sketch) Clone() *Sketch { return &Sketch{s.clone()} }

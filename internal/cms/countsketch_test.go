@@ -1,13 +1,14 @@
-package countsketch
+package cms
 
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
-func TestDims(t *testing.T) {
-	s := New(0.1, 0.01, 1)
+func TestCountSketchDims(t *testing.T) {
+	s := NewCountSketch(0.1, 0.01, 1)
 	if s.Width() != 300 {
 		t.Fatalf("Width = %d want 300", s.Width())
 	}
@@ -16,14 +17,14 @@ func TestDims(t *testing.T) {
 	}
 }
 
-func TestBatchMatchesSequential(t *testing.T) {
+func TestCountSketchBatchMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	items := make([]uint64, 30000)
 	for i := range items {
 		items[i] = uint64(rng.Intn(500))
 	}
-	a := NewWithDims(5, 128, 7)
-	b := NewWithDims(5, 128, 7)
+	a := NewCountSketchWithDims(5, 128, 7)
+	b := NewCountSketchWithDims(5, 128, 7)
 	a.ProcessBatch(items)
 	for _, it := range items {
 		b.Update(it, 1)
@@ -40,9 +41,9 @@ func TestBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestErrorBoundL2(t *testing.T) {
+func TestCountSketchErrorBoundL2(t *testing.T) {
 	eps, delta := 0.05, 0.01
-	s := New(eps, delta, 3)
+	s := NewCountSketch(eps, delta, 3)
 	rng := rand.New(rand.NewSource(2))
 	zipf := rand.NewZipf(rng, 1.3, 1, 1<<14)
 	exact := map[uint64]int64{}
@@ -72,10 +73,10 @@ func TestErrorBoundL2(t *testing.T) {
 	}
 }
 
-func TestUnbiasedOnHeavyItem(t *testing.T) {
+func TestCountSketchUnbiasedOnHeavyItem(t *testing.T) {
 	// A heavy item's estimate should be close to truth (within a few
 	// percent), not systematically above like count-min.
-	s := New(0.02, 0.01, 9)
+	s := NewCountSketch(0.02, 0.01, 9)
 	rng := rand.New(rand.NewSource(4))
 	items := make([]uint64, 50000)
 	for i := range items {
@@ -92,8 +93,8 @@ func TestUnbiasedOnHeavyItem(t *testing.T) {
 	}
 }
 
-func TestWeightedUpdateAndAccessors(t *testing.T) {
-	s := NewWithDims(3, 64, 1)
+func TestCountSketchWeightedUpdateAndAccessors(t *testing.T) {
+	s := NewCountSketchWithDims(3, 64, 1)
 	s.Update(1, 10)
 	s.Update(2, -3) // deletions are legal in count-sketch (turnstile)
 	if s.TotalCount() != 7 {
@@ -107,29 +108,29 @@ func TestWeightedUpdateAndAccessors(t *testing.T) {
 	}
 }
 
-func TestEmptyBatch(t *testing.T) {
-	s := New(0.1, 0.1, 1)
+func TestCountSketchEmptyBatch(t *testing.T) {
+	s := NewCountSketch(0.1, 0.1, 1)
 	s.ProcessBatch(nil)
 	if s.TotalCount() != 0 || s.Query(5) != 0 {
 		t.Fatal("empty batch changed state")
 	}
 }
 
-func TestEvenDepthMedian(t *testing.T) {
-	s := NewWithDims(4, 64, 5)
+func TestCountSketchEvenDepthMedian(t *testing.T) {
+	s := NewCountSketchWithDims(4, 64, 5)
 	s.Update(3, 100)
 	if q := s.Query(3); q < 50 || q > 150 {
 		t.Fatalf("even-d median: %d", q)
 	}
 }
 
-func TestPanics(t *testing.T) {
+func TestCountSketchPanics(t *testing.T) {
 	for _, f := range []func(){
-		func() { New(0, 0.1, 1) },
-		func() { New(0.1, 0, 1) },
-		func() { New(0.1, 1, 1) },
-		func() { NewWithDims(0, 1, 1) },
-		func() { NewWithDims(1, 0, 1) },
+		func() { NewCountSketch(0, 0.1, 1) },
+		func() { NewCountSketch(0.1, 0, 1) },
+		func() { NewCountSketch(0.1, 1, 1) },
+		func() { NewCountSketchWithDims(0, 1, 1) },
+		func() { NewCountSketchWithDims(1, 0, 1) },
 	} {
 		func() {
 			defer func() {
@@ -139,5 +140,35 @@ func TestPanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestCountSketchSubtractUndoesMerge: Merge(o) then Subtract(o)
+// restores every cell and the total; a mismatched argument is rejected
+// with s unchanged.
+func TestCountSketchSubtractUndoesMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	items := func(n int) []uint64 {
+		out := make([]uint64, n)
+		for i := range out {
+			out[i] = uint64(rng.Intn(2000))
+		}
+		return out
+	}
+	a, b := NewCountSketch(0.1, 0.05, 5), NewCountSketch(0.1, 0.05, 5)
+	a.ProcessBatch(items(5000))
+	b.ProcessBatch(items(7000))
+	before := a.State()
+	if err := a.Merge(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Subtract(b); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a.State(), before) {
+		t.Fatal("Merge then Subtract did not restore the sketch")
+	}
+	if err := a.Subtract(NewCountSketch(0.1, 0.05, 6)); err == nil || !reflect.DeepEqual(a.State(), before) {
+		t.Fatalf("mismatched Subtract: err %v, or the sketch changed", err)
 	}
 }

@@ -1,6 +1,10 @@
 package cms
 
-import "repro/internal/hist"
+import (
+	"fmt"
+
+	"repro/internal/hist"
+)
 
 // Dyadic range structure: one sketch per dyadic level, supporting range
 // counts and approximate quantiles — the standard CM-sketch applications
@@ -153,4 +157,85 @@ func (r *RangeSketch) SpaceWords() int {
 		total += s.SpaceWords()
 	}
 	return total
+}
+
+// Compatible reports whether o can merge into r: the same universe and,
+// level by level, the same dimensions and hash functions.
+func (r *RangeSketch) Compatible(o *RangeSketch) error {
+	if r.bits != o.bits {
+		return fmt.Errorf("cms: merge universe mismatch (2^%d vs 2^%d)", r.bits, o.bits)
+	}
+	if len(r.levels) != len(o.levels) {
+		return fmt.Errorf("cms: merge level count mismatch (%d vs %d)", len(r.levels), len(o.levels))
+	}
+	for l, s := range r.levels {
+		if err := s.Compatible(o.levels[l]); err != nil {
+			return fmt.Errorf("cms: merge mismatch at level %d: %w", l, err)
+		}
+	}
+	return nil
+}
+
+// Merge folds another range sketch into r level-wise. Every level is
+// checked before any is touched, so a mismatch cannot leave the stack
+// half-merged.
+func (r *RangeSketch) Merge(o *RangeSketch) error { return r.add(o, 1) }
+
+// Subtract takes a range sketch previously merged into r back out.
+func (r *RangeSketch) Subtract(o *RangeSketch) error { return r.add(o, -1) }
+
+func (r *RangeSketch) add(o *RangeSketch, sign int64) error {
+	if err := r.Compatible(o); err != nil {
+		return err
+	}
+	for l, s := range r.levels {
+		if err := s.add(&o.levels[l].table, sign); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Clone returns a deep copy of the range sketch.
+func (r *RangeSketch) Clone() *RangeSketch {
+	c := &RangeSketch{bits: r.bits}
+	c.levels = make([]*Sketch, len(r.levels))
+	for l, s := range r.levels {
+		c.levels[l] = s.Clone()
+	}
+	return c
+}
+
+// RangeState is the serializable form of a RangeSketch.
+type RangeState struct {
+	Bits   int
+	Levels []State
+}
+
+// State captures the range sketch for serialization.
+func (r *RangeSketch) State() RangeState {
+	st := RangeState{Bits: r.bits}
+	for _, s := range r.levels {
+		st.Levels = append(st.Levels, s.State())
+	}
+	return st
+}
+
+// RangeFromState reconstructs a range sketch, validating invariants.
+func RangeFromState(st RangeState) (*RangeSketch, error) {
+	if st.Bits < 1 || st.Bits > 63 {
+		return nil, fmt.Errorf("cms: bad state bits %d", st.Bits)
+	}
+	if len(st.Levels) != st.Bits+1 {
+		return nil, fmt.Errorf("cms: state has %d levels, want %d", len(st.Levels), st.Bits+1)
+	}
+	r := &RangeSketch{bits: st.Bits}
+	for _, ls := range st.Levels {
+		s, err := FromState(ls)
+		if err != nil {
+			return nil, err
+		}
+		r.levels = append(r.levels, s)
+	}
+	return r, nil
 }

@@ -1,8 +1,9 @@
 // Package hashfn implements the hash families the paper's algorithms rely
 // on: k-wise independent polynomial hashing over the Mersenne prime field
 // GF(2^61 - 1) (Theorem 2.3 asks for an O(log mu)-wise independent family
-// for the linear-work histogram), and the pairwise-independent family used
-// by the count-min sketch (Section 6).
+// for the linear-work histogram), and the derived-row family that
+// addresses the rows of the count-min and count-sketch tables
+// (Section 6).
 package hashfn
 
 import (
@@ -91,41 +92,6 @@ func (p *Poly) Range() uint64 { return p.r }
 // K returns the independence of the family the function was drawn from.
 func (p *Poly) K() int { return len(p.coef) }
 
-// Pairwise is a pairwise-independent hash h(x) = ((a*x + b) mod p) mod r,
-// the family count-min sketch uses per row.
-type Pairwise struct {
-	a, b uint64
-	r    uint64
-}
-
-// NewPairwise draws a pairwise-independent hash with output range [0, r).
-func NewPairwise(r uint64, seed int64) Pairwise {
-	rng := rand.New(rand.NewSource(seed))
-	a := uint64(rng.Int63())%(MersennePrime61-1) + 1 // a != 0
-	b := uint64(rng.Int63()) % MersennePrime61
-	return Pairwise{a: a, b: b, r: r}
-}
-
-// Hash returns the hash of x in [0, Range()). As with Poly.Hash, the key
-// is pre-mixed with Mix64 so the full 64-bit domain injects into the
-// field without the deterministic x vs x+(2^61-1) aliasing the bare
-// mod-p folding produced.
-func (h Pairwise) Hash(x uint64) uint64 {
-	return addMod61(mulMod61(h.a, Mix64(x)%MersennePrime61), h.b) % h.r
-}
-
-// HashAliased is the pre-fix evaluation: the raw key folded mod 2^61-1
-// before hashing, which collapses x and x+(2^61-1) in every function of
-// the family. It exists only so sketches restored from checkpoints
-// written before the fix keep addressing the cells they were built with;
-// new code must use Hash.
-func (h Pairwise) HashAliased(x uint64) uint64 {
-	return addMod61(mulMod61(h.a, x%MersennePrime61), h.b) % h.r
-}
-
-// Range returns the size of the hash output range.
-func (h Pairwise) Range() uint64 { return h.r }
-
 // Mix64 is a fast non-cryptographic bit mixer (splitmix64 finalizer) used
 // to decorrelate adversarially regular item identifiers before bucketing.
 func Mix64(x uint64) uint64 {
@@ -149,8 +115,8 @@ func SplitMix64(state *uint64) uint64 {
 // rows therefore costs one hash plus d multiply-adds instead of d
 // modular polynomial evaluations, and the count-min/count-sketch error
 // bounds are preserved asymptotically [KM08]. The base hash covers the
-// full 64-bit key domain (no Mersenne folding), so the aliasing bug
-// fixed in Poly/Pairwise cannot occur here by construction.
+// full 64-bit key domain (no Mersenne folding), so keys that differ by
+// 2^61-1 cannot alias here by construction.
 type Derived struct {
 	s1, s2 uint64
 	w      uint64

@@ -96,52 +96,13 @@ func TestPolyPanics(t *testing.T) {
 	mustPanic(t, func() { NewPoly(2, 0, 1) })
 }
 
-func TestPairwiseRangeAndDeterminism(t *testing.T) {
-	h := NewPairwise(977, 5)
-	h2 := NewPairwise(977, 5)
-	for x := uint64(0); x < 50000; x += 11 {
-		v := h.Hash(x)
-		if v >= 977 {
-			t.Fatalf("Hash(%d)=%d out of range", x, v)
-		}
-		if v != h2.Hash(x) {
-			t.Fatal("same seed, different pairwise hash")
-		}
-	}
-	if h.Range() != 977 {
-		t.Fatalf("Range = %d", h.Range())
-	}
-}
-
-func TestPairwiseCollisionRate(t *testing.T) {
-	// For a pairwise-independent family, Pr[h(x)=h(y)] <= 1/r. Estimate the
-	// collision rate over many draws and random pairs.
-	const r = 1 << 10
-	rng := rand.New(rand.NewSource(17))
-	collisions, trials := 0, 20000
-	for i := 0; i < trials; i++ {
-		h := NewPairwise(r, int64(i))
-		x, y := rng.Uint64(), rng.Uint64()
-		if x == y {
-			continue
-		}
-		if h.Hash(x) == h.Hash(y) {
-			collisions++
-		}
-	}
-	// Expected ~ trials/r ~= 19.5. Allow generous slack.
-	if collisions > trials/int(r)*5+20 {
-		t.Fatalf("collision rate too high: %d/%d", collisions, trials)
-	}
-}
-
 // TestMersenneAliasingFixed is the regression test for the hash-domain
 // aliasing bug: before the Mix64 pre-mixing, x and x+(2^61-1) were
 // folded to the same field element and therefore collided in *every*
-// function of the Poly and Pairwise families — a cross-row correlation
-// the sketch error analyses assume cannot happen. After the fix the two
-// keys must land in different cells in at least one of a handful of
-// independently drawn rows.
+// function of the Poly family — a cross-row correlation the sketch
+// error analyses assume cannot happen. After the fix the two keys must
+// land in different cells in at least one of a handful of independently
+// drawn rows; the Derived family must separate them too.
 func TestMersenneAliasingFixed(t *testing.T) {
 	const rows = 8
 	keys := []uint64{0, 1, 12345, 1 << 40, MersennePrime61 - 1}
@@ -158,25 +119,14 @@ func TestMersenneAliasingFixed(t *testing.T) {
 		}
 	}
 	polys := make([]*Poly, rows)
-	pairs := make([]Pairwise, rows)
 	st := uint64(41)
 	for i := range polys {
 		polys[i] = NewPoly(4, 1<<16, int64(SplitMix64(&st)))
-		pairs[i] = NewPairwise(1<<16, int64(SplitMix64(&st)))
 	}
 	check("Poly", func(i int, x uint64) uint64 { return polys[i].Hash(x) })
-	check("Pairwise", func(i int, x uint64) uint64 { return pairs[i].Hash(x) })
 	d := NewDerived(1<<16, 97)
 	check("Derived", func(i int, x uint64) uint64 { return d.Hash(x, i) })
 
-	// And the bug-compatible legacy evaluation must still alias: that is
-	// the behavior scheme-0 checkpoint restores depend on.
-	h := pairs[0]
-	for _, x := range keys {
-		if h.HashAliased(x) != h.HashAliased(x+MersennePrime61) {
-			t.Errorf("HashAliased(%d) no longer aliases x+p — legacy restores would break", x)
-		}
-	}
 }
 
 func TestDerivedRangeAndDeterminism(t *testing.T) {

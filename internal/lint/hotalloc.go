@@ -8,10 +8,11 @@ import (
 )
 
 // HotAlloc turns the steady-state zero-alloc contract (0 allocs/item
-// on the batch ingest paths, pinned at runtime by the SteadyStateAllocs
-// tests in alloc_test.go, internal/cms, internal/countsketch and
-// internal/mg, and by TestIngestorTracingDisabledAllocs) into a
-// build-time gate. A function opts in with a doc-comment directive:
+// on the batch ingest paths, pinned at runtime by the steady-state
+// alloc tests in alloc_test.go, internal/cms (count-min, count-min-range
+// and count-sketch), internal/hist and internal/mg, and by
+// TestIngestorTracingDisabledAllocs) into a build-time gate. A function
+// opts in with a doc-comment directive:
 //
 //	//agglint:hotpath
 //	func (s *Sketch) ProcessBatch(items []uint64) { ... }

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/bcount"
 	"repro/internal/cms"
-	"repro/internal/countsketch"
 	"repro/internal/mg"
 	"repro/internal/swfreq"
 	"repro/internal/wsum"
@@ -400,7 +399,7 @@ func New(kind Kind, opts ...Option) (Aggregate, error) {
 		case KindCountMinRange:
 			return &CountMinRange{impl: cms.NewRange(c.bits, c.epsilon, c.delta, c.seed)}
 		case KindCountSketch:
-			return &CountSketch{impl: countsketch.New(c.epsilon, c.delta, c.seed)}
+			return &CountSketch{impl: cms.NewCountSketch(c.epsilon, c.delta, c.seed)}
 		}
 		panic("unreachable")
 	}

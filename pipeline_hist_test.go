@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/cms"
 	"repro/internal/hist"
 	"repro/internal/workload"
 )
@@ -246,6 +247,43 @@ type parentFixture struct {
 	Before, After answers
 }
 
+// assertDerivedScheme decodes the count-min, count-sketch and every
+// count-min-range level state in a histKinds pipeline checkpoint and
+// requires hash scheme 1, the only one that restores: the fixture must
+// not depend on a scheme that is gone.
+func assertDerivedScheme(t *testing.T, ckpt []byte) {
+	t.Helper()
+	var ps pipelineState
+	if _, err := open(kindPipeline, ckpt, &ps); err != nil {
+		t.Fatal(err)
+	}
+	var states []cms.State
+	for i, kind := range ps.Kinds {
+		switch Kind(kind) {
+		case KindCountMin, KindCountSketch:
+			var st cms.State
+			if _, err := open(Kind(kind), ps.Checkpoints[i], &st); err != nil {
+				t.Fatal(err)
+			}
+			states = append(states, st)
+		case KindCountMinRange:
+			var rs cms.RangeState
+			if _, err := open(Kind(kind), ps.Checkpoints[i], &rs); err != nil {
+				t.Fatal(err)
+			}
+			states = append(states, rs.Levels...)
+		}
+	}
+	if want := 2 + 21; len(states) != want { // count-min, count-sketch, 2^20 universe: 21 levels
+		t.Fatalf("fixture has %d linear states, want %d", len(states), want)
+	}
+	for i, st := range states {
+		if st.Scheme != 1 {
+			t.Fatalf("fixture linear state %d has hash scheme %d, want 1", i, st.Scheme)
+		}
+	}
+}
+
 func fixtureStream() (batches [][]uint64, more, probes []uint64) {
 	stream := workload.Zipf(2024, 3*8192+100, 1.1, 1<<18)
 	more = workload.Zipf(2025, 5000, 1.1, 1<<18)
@@ -305,6 +343,7 @@ func TestParentCheckpointRestores(t *testing.T) {
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatal(err)
 	}
+	assertDerivedScheme(t, ckpt)
 	p, err := UnmarshalPipeline(ckpt)
 	if err != nil {
 		t.Fatalf("parent checkpoint does not restore: %v", err)
