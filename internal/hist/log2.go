@@ -55,80 +55,3 @@ func (h *Log2) Snapshot() (buckets []int64, count, sum int64) {
 	}
 	return append([]int64(nil), all[:top]...), count, h.sum.Load()
 }
-
-// Merge adds o's counts and sum into h. Both sides may keep observing
-// concurrently; like Snapshot, the merge is not a consistent cut (each
-// bucket is transferred atomically, the set of buckets is not). The
-// open-loop load harness records into one Log2 per worker to keep the
-// hot path contention-free, then merges them for reporting.
-func (h *Log2) Merge(o *Log2) {
-	for i := range h.buckets {
-		if n := o.buckets[i].Load(); n != 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-	if s := o.sum.Load(); s != 0 {
-		h.sum.Add(s)
-	}
-}
-
-// Count returns the total number of observations.
-func (h *Log2) Count() int64 {
-	var n int64
-	for i := range h.buckets {
-		n += h.buckets[i].Load()
-	}
-	return n
-}
-
-// Quantile extracts the q-quantile (q in [0, 1]) from the histogram,
-// interpolating linearly inside the winning bucket: bucket i holds
-// values in [2^(i-1), 2^i), so the true quantile is bounded by a factor
-// of 2 and the interpolated estimate assumes mass is uniform within the
-// bucket. Returns 0 for an empty histogram. Concurrent observes may or
-// may not be included.
-func (h *Log2) Quantile(q float64) float64 {
-	buckets, count, _ := h.Snapshot()
-	return Log2Quantile(buckets, count, q)
-}
-
-// Log2Quantile is Quantile over an already-taken Snapshot (buckets,
-// count), so one snapshot can serve several percentile extractions
-// consistently.
-func Log2Quantile(buckets []int64, count int64, q float64) float64 {
-	if count <= 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	// Rank of the target observation, 1-based; q=0 is the minimum.
-	target := q * float64(count)
-	if target < 1 {
-		target = 1
-	}
-	var cum float64
-	for i, c := range buckets {
-		if c == 0 {
-			continue
-		}
-		if cum+float64(c) >= target {
-			if i == 0 {
-				return 0 // bucket 0 holds only zeros
-			}
-			lo := float64(uint64(1) << (i - 1))
-			hi := lo * 2
-			if i >= 64 {
-				hi = float64(^uint64(0))
-			}
-			frac := (target - cum) / float64(c)
-			return lo + frac*(hi-lo)
-		}
-		cum += float64(c)
-	}
-	// Unreachable when buckets sum to count; be defensive.
-	return float64(Log2UpperBound(len(buckets) - 1))
-}
