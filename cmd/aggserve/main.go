@@ -39,8 +39,8 @@
 //	         -agg sketch=count-min,eps=1e-4,seed=7,shards=4 \
 //	         -agg dist=count-min-range,bits=20
 //
-// Without -agg flags a demo trio (hot=freq, sketch=count-min,
-// dist=count-min-range,bits=20) is served.
+// Without -agg flags the demo trio server.DemoSpecs (hot=freq,
+// sketch=count-min, dist=count-min-range,bits=20) is served.
 package main
 
 import (
@@ -51,70 +51,23 @@ import (
 	"os/signal"
 	"syscall"
 
-	streamagg "repro"
 	"repro/server"
 )
 
 func main() {
-	var specs []string
-	flag.Func("agg", "aggregate spec name=kind[,opt=value]... (repeatable)", func(s string) error {
-		specs = append(specs, s)
-		return nil
-	})
-	addr := flag.String("addr", ":8080", "listen address")
-	batch := flag.Int("batch", 0, "minibatch flush threshold (default 8192)")
-	latency := flag.Duration("latency", -1, "max time a queued update may wait (default 5ms; 0 = flush immediately)")
-	queue := flag.Int("queue", 0, "ingest queue capacity in items (default 4x batch)")
-	policy := flag.String("backpressure", "block", "full-queue policy: block, reject, or drop")
-	dataDir := flag.String("data-dir", "", "durability directory: WAL + snapshots, recovered on startup (default in-memory only)")
-	fsync := flag.String("fsync", "", "WAL sync policy: always, interval, or never (default always; needs -data-dir)")
-	snapEvery := flag.Int("snapshot-every", 0, "snapshot after N logged minibatches (default 4096; needs -data-dir)")
-	par := flag.Int("parallelism", 0, "worker budget for parallel ingestion (default GOMAXPROCS)")
-	metricsOn := flag.Bool("metrics", true, "serve the Prometheus exposition at GET /metrics")
-	traceSample := flag.Float64("trace-sample", 0, "span sampling probability in [0,1] (0 disables tracing; traces at GET /debug/traces)")
-	debugAddr := flag.String("debug-addr", "", "separate listener for net/http/pprof, e.g. localhost:6060 (default off)")
-	pushTo := flag.String("push-to", "", "federation root URL to push summaries to (host:port or full /v1/merge URL)")
-	pushEvery := flag.Duration("push-every", 0, "interval between federation pushes (default 10s; needs -push-to)")
-	nodeID := flag.String("node-id", "", "stable unique edge identity for federation dedup (required with -push-to)")
-	pushMode := flag.String("push-mode", "", "federation push mode: full (idempotent, default) or delta (small payloads)")
+	config := server.RegisterFlags(flag.CommandLine)
 	flag.Parse()
-
-	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	if *par > 0 {
-		streamagg.SetParallelism(*par)
-	}
-	if len(specs) == 0 {
-		specs = []string{
-			"hot=freq,eps=0.001",
-			"sketch=count-min,eps=1e-4,seed=7",
-			"dist=count-min-range,bits=20",
-		}
-		logger.Info("no -agg flags; serving demo aggregates", "specs", specs)
+	cfg := config()
+	cfg.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
+	if len(cfg.Specs) == 0 {
+		cfg.Specs = server.DemoSpecs
+		cfg.Logger.Info("no -agg flags; serving demo aggregates", "specs", cfg.Specs)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	err := server.Run(ctx, server.RunConfig{
-		Addr:          *addr,
-		Specs:         specs,
-		BatchSize:     *batch,
-		MaxLatency:    *latency,
-		QueueCap:      *queue,
-		Backpressure:  *policy,
-		DataDir:       *dataDir,
-		Fsync:         *fsync,
-		SnapshotEvery: *snapEvery,
-		NoMetrics:     !*metricsOn,
-		TraceSample:   *traceSample,
-		DebugAddr:     *debugAddr,
-		PushTo:        *pushTo,
-		PushEvery:     *pushEvery,
-		NodeID:        *nodeID,
-		PushMode:      *pushMode,
-		Logger:        logger,
-	})
-	if err != nil {
-		logger.Error("serve failed", "err", err)
+	if err := server.Run(ctx, cfg); err != nil {
+		cfg.Logger.Error("serve failed", "err", err)
 		os.Exit(1)
 	}
 }

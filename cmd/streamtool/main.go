@@ -18,19 +18,6 @@
 //	streamtool quantiles [-bits 20] [-q 0.5,0.9,0.99] < integers
 //	    Streaming quantiles via the dyadic count-min structure.
 //
-//	streamtool serve [-addr :8080] [-agg "spec1;spec2"] [-batch 8192]
-//	                 [-latency 5ms] [-queue N] [-backpressure block]
-//	                 [-data-dir DIR] [-fsync always] [-snapshot-every N]
-//	                 [-metrics true|false] [-trace-sample P] [-debug-addr host:port]
-//	                 [-push-to URL -node-id ID] [-push-every 10s] [-push-mode full|delta]
-//	    HTTP ingest/query server over a pipeline of aggregates (the
-//	    server package; see cmd/aggserve for the standalone binary).
-//	    With -data-dir the server is durable and recovers on restart;
-//	    -metrics false disables the GET /metrics exposition;
-//	    -trace-sample P records spans for that fraction of requests at
-//	    GET /debug/traces; -debug-addr serves net/http/pprof on its own
-//	    listener.
-//
 //	streamtool inspect <data-dir>
 //	    Print a durability directory's manifest, snapshots, WAL
 //	    segments (record counts, sequence spans, CRC damage), and the
@@ -77,8 +64,6 @@ func main() {
 		runSum(args)
 	case "quantiles":
 		runQuantiles(args)
-	case "serve":
-		runServe(args)
 	case "push":
 		runPush(args)
 	case "inspect":
@@ -96,7 +81,6 @@ subcommands:
   count      sliding-window count of nonzero stdin tokens
   sum        sliding-window sum of non-negative stdin integers
   quantiles  streaming quantiles over stdin integers
-  serve      HTTP ingest/query server over a pipeline of aggregates
   push       ingest stdin tokens and push summaries to a federation root
   inspect    print a durability data directory's manifest, segments, and replay span
 `)
@@ -145,69 +129,6 @@ func (f flags) str(name, def string) string {
 	return def
 }
 
-// runServe starts the HTTP serving layer (server.Run, shared with
-// cmd/aggserve) over a pipeline described by the -agg flag:
-// semicolon-separated specs in the same name=kind,opt=value syntax.
-func runServe(args []string) {
-	f := parseFlags(args)
-	addr := f.str("addr", ":8080")
-	specList := f.str("agg", "hot=freq,eps=0.001;sketch=count-min,eps=1e-4,seed=7;dist=count-min-range,bits=20")
-	latency := time.Duration(-1) // unset; 0 is a meaningful value
-	if s, ok := f["latency"]; ok {
-		d, err := time.ParseDuration(s)
-		if err != nil {
-			fail(err)
-		}
-		latency = d
-	}
-	metricsOn := true
-	if s, ok := f["metrics"]; ok {
-		v, err := strconv.ParseBool(s)
-		if err != nil {
-			fail(fmt.Errorf("-metrics %q: %w", s, err))
-		}
-		metricsOn = v
-	}
-	var pushEvery time.Duration
-	if s, ok := f["push-every"]; ok {
-		d, err := time.ParseDuration(s)
-		if err != nil {
-			fail(fmt.Errorf("-push-every %q: %w", s, err))
-		}
-		pushEvery = d
-	}
-	var specs []string
-	for _, spec := range strings.Split(specList, ";") {
-		if spec = strings.TrimSpace(spec); spec != "" {
-			specs = append(specs, spec)
-		}
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	err := server.Run(ctx, server.RunConfig{
-		Addr:          addr,
-		Specs:         specs,
-		BatchSize:     int(f.int("batch", 0)),
-		MaxLatency:    latency,
-		QueueCap:      int(f.int("queue", 0)),
-		Backpressure:  f.str("backpressure", ""),
-		DataDir:       f.str("data-dir", ""),
-		Fsync:         f.str("fsync", ""),
-		SnapshotEvery: int(f.int("snapshot-every", 0)),
-		NoMetrics:     !metricsOn,
-		TraceSample:   f.float("trace-sample", 0),
-		DebugAddr:     f.str("debug-addr", ""),
-		PushTo:        f.str("push-to", ""),
-		PushEvery:     pushEvery,
-		NodeID:        f.str("node-id", ""),
-		PushMode:      f.str("push-mode", ""),
-		Logger:        slog.New(slog.NewTextHandler(os.Stderr, nil)),
-	})
-	if err != nil {
-		fail(err)
-	}
-}
-
 // runPush is a serverless federation edge: it ingests stdin tokens into
 // a local pipeline and ships its summaries to a root's /v1/merge — the
 // batch-job counterpart of aggserve's -push-to. Single-threaded, so
@@ -234,7 +155,7 @@ func runPush(args []string) {
 		fail(err)
 	}
 	batch := int(f.int("batch", 8192))
-	specList := f.str("agg", "hot=freq,eps=0.001;sketch=count-min,eps=1e-4,seed=7;dist=count-min-range,bits=20")
+	specList := f.str("agg", strings.Join(server.DemoSpecs, ";"))
 	var specs []string
 	for _, spec := range strings.Split(specList, ";") {
 		if spec = strings.TrimSpace(spec); spec != "" {

@@ -17,6 +17,8 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+
+	streamagg "repro"
 )
 
 // Wire-format limits. MaxNodeID keeps per-node metric labels and maps
@@ -66,7 +68,8 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
-// ParseMode maps "full" or "delta" to the Mode.
+// ParseMode maps "full" or "delta" to the Mode. Its input is a flag
+// value, not wire data, so anything else is streamagg.ErrBadParam.
 func ParseMode(s string) (Mode, error) {
 	switch s {
 	case "full":
@@ -74,7 +77,7 @@ func ParseMode(s string) (Mode, error) {
 	case "delta":
 		return ModeDelta, nil
 	}
-	return 0, fmt.Errorf("%w: push mode %q (want full or delta)", ErrBadEnvelope, s)
+	return 0, fmt.Errorf("%w: push mode %q (want full or delta)", streamagg.ErrBadParam, s)
 }
 
 // Envelope is one federation push: a checkpoint payload tagged with the

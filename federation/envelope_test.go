@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	streamagg "repro"
 )
 
 func validEnvelope() *Envelope {
@@ -90,7 +92,7 @@ func TestParseMode(t *testing.T) {
 			t.Fatalf("%v.String() = %q", got, got.String())
 		}
 	}
-	if _, err := ParseMode("bogus"); !errors.Is(err, ErrBadEnvelope) {
+	if _, err := ParseMode("bogus"); !errors.Is(err, streamagg.ErrBadParam) {
 		t.Fatalf("ParseMode(bogus): %v", err)
 	}
 	if s := Mode(9).String(); s != "Mode(9)" {

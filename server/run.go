@@ -1,16 +1,17 @@
 package server
 
-// Run is the shared serve loop behind cmd/aggserve and the streamtool
-// serve subcommand: build a pipeline from aggregate specs, wrap it in a
-// Server with the given batching and durability knobs (recovering from
-// the data directory when one is set), serve until ctx is canceled (or
-// the listener fails), then shut down gracefully — in-flight requests
-// finish, the ingest queue drains into the aggregates, and a durable
-// server writes its shutdown snapshot.
+// Run is the serve loop behind cmd/aggserve: build a pipeline from
+// aggregate specs, wrap it in a Server with the given batching and
+// durability knobs (recovering from the data directory when one is
+// set), serve until ctx is canceled (or the listener fails), then shut
+// down gracefully — in-flight requests finish, the ingest queue drains
+// into the aggregates, and a durable server writes its shutdown
+// snapshot. RegisterFlags is its command line.
 
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -26,7 +27,14 @@ import (
 // drainTimeout bounds graceful shutdown once ctx is canceled.
 const drainTimeout = 15 * time.Second
 
-// RunConfig carries the serving flags shared by both binaries.
+// DemoSpecs is the aggregate trio served when no spec is given.
+var DemoSpecs = []string{
+	"hot=freq,eps=0.001",
+	"sketch=count-min,eps=1e-4,seed=7",
+	"dist=count-min-range,bits=20",
+}
+
+// RunConfig carries the serving flags (see RegisterFlags).
 type RunConfig struct {
 	// Addr is the listen address (e.g. ":8080").
 	Addr string
@@ -46,8 +54,12 @@ type RunConfig struct {
 	Fsync         string
 	SnapshotEvery int
 
+	// Parallelism, when positive, is the worker budget for parallel
+	// ingestion (streamagg.SetParallelism); zero keeps GOMAXPROCS.
+	Parallelism int
+
 	// NoMetrics disables the GET /metrics exposition endpoint (the
-	// zero value serves it; both binaries map -metrics=false here).
+	// zero value serves it; -metrics=false maps here).
 	NoMetrics bool
 
 	// TraceSample is the root-span sampling probability in [0, 1] for
@@ -72,6 +84,36 @@ type RunConfig struct {
 
 	// Logger receives progress records; nil discards them.
 	Logger *slog.Logger
+}
+
+// RegisterFlags registers one flag per RunConfig field except Logger on
+// fs. The returned function yields the parsed RunConfig after fs.Parse.
+func RegisterFlags(fs *flag.FlagSet) func() RunConfig {
+	var cfg RunConfig
+	fs.Func("agg", "aggregate spec name=kind[,opt=value]... (repeatable)", func(s string) error {
+		cfg.Specs = append(cfg.Specs, s)
+		return nil
+	})
+	fs.StringVar(&cfg.Addr, "addr", ":8080", "listen address")
+	fs.IntVar(&cfg.BatchSize, "batch", 0, "minibatch flush threshold (default 8192)")
+	fs.DurationVar(&cfg.MaxLatency, "latency", -1, "max time a queued update may wait (default 5ms; 0 = flush immediately)")
+	fs.IntVar(&cfg.QueueCap, "queue", 0, "ingest queue capacity in items (default 4x batch)")
+	fs.StringVar(&cfg.Backpressure, "backpressure", "block", "full-queue policy: block, reject, or drop")
+	fs.StringVar(&cfg.DataDir, "data-dir", "", "durability directory: WAL + snapshots, recovered on startup (default in-memory only)")
+	fs.StringVar(&cfg.Fsync, "fsync", "", "WAL sync policy: always, interval, or never (default always; needs -data-dir)")
+	fs.IntVar(&cfg.SnapshotEvery, "snapshot-every", 0, "snapshot after N logged minibatches (default 4096; needs -data-dir)")
+	fs.IntVar(&cfg.Parallelism, "parallelism", 0, "worker budget for parallel ingestion (default GOMAXPROCS)")
+	metricsOn := fs.Bool("metrics", true, "serve the Prometheus exposition at GET /metrics")
+	fs.Float64Var(&cfg.TraceSample, "trace-sample", 0, "span sampling probability in [0,1] (0 disables tracing; traces at GET /debug/traces)")
+	fs.StringVar(&cfg.DebugAddr, "debug-addr", "", "separate listener for net/http/pprof, e.g. localhost:6060 (default off)")
+	fs.StringVar(&cfg.PushTo, "push-to", "", "federation root URL to push summaries to (host:port or full /v1/merge URL)")
+	fs.DurationVar(&cfg.PushEvery, "push-every", 0, "interval between federation pushes (default 10s; needs -push-to)")
+	fs.StringVar(&cfg.NodeID, "node-id", "", "stable unique edge identity for federation dedup (required with -push-to)")
+	fs.StringVar(&cfg.PushMode, "push-mode", "", "federation push mode: full (idempotent, default) or delta (small payloads)")
+	return func() RunConfig {
+		cfg.NoMetrics = !*metricsOn
+		return cfg
+	}
 }
 
 // options assembles the Ingestor option list from the flag values.
@@ -105,41 +147,31 @@ func NormalizePushURL(raw string) (string, error) {
 	return u.String(), nil
 }
 
-// pusherFor builds the federation Pusher for an edge server, or nil
-// when cfg.PushTo is empty. The pusher shares the server's tracer and
-// parents its push spans on the last sampled ingest, so a trace
-// recorded at this edge continues through the root's merge.
-func pusherFor(cfg RunConfig, srv *Server, logger *slog.Logger) (*federation.Pusher, error) {
+// pushTarget checks the federation push knobs and returns the merge URL
+// and mode, or "" when cfg.PushTo is empty. Run calls it before New
+// takes the data directory's lock.
+func (cfg RunConfig) pushTarget() (string, federation.Mode, error) {
 	if cfg.PushTo == "" {
-		return nil, nil
+		if cfg.PushEvery != 0 || cfg.NodeID != "" || cfg.PushMode != "" {
+			return "", 0, fmt.Errorf("%w: -push-every, -node-id and -push-mode require -push-to",
+				streamagg.ErrBadParam)
+		}
+		return "", 0, nil
 	}
-	if cfg.NodeID == "" {
-		return nil, fmt.Errorf("%w: -push-to requires -node-id (a stable, unique edge identity)",
-			streamagg.ErrBadParam)
+	if cfg.NodeID == "" || len(cfg.NodeID) > federation.MaxNodeID {
+		return "", 0, fmt.Errorf("%w: -push-to requires -node-id (a stable, unique edge identity of 1..%d bytes)",
+			streamagg.ErrBadParam, federation.MaxNodeID)
 	}
 	target, err := NormalizePushURL(cfg.PushTo)
 	if err != nil {
-		return nil, err
+		return "", 0, err
 	}
 	modeStr := cfg.PushMode
 	if modeStr == "" {
 		modeStr = "full"
 	}
 	mode, err := federation.ParseMode(modeStr)
-	if err != nil {
-		return nil, err
-	}
-	return federation.NewPusher(federation.PusherConfig{
-		URL:      target,
-		Node:     cfg.NodeID,
-		Source:   srv,
-		Mode:     mode,
-		Interval: cfg.PushEvery,
-		Registry: srv.Metrics(),
-		Logger:   logger,
-		Tracer:   srv.Tracer(),
-		Parent:   srv.LastIngestContext,
-	})
+	return target, mode, err
 }
 
 // debugServer serves net/http/pprof on addr. The default mux is
@@ -155,11 +187,22 @@ func debugServer(addr string) *http.Server {
 	return &http.Server{Addr: addr, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 }
 
-// Run blocks until ctx is canceled or serving fails.
+// Run blocks until ctx is canceled or serving fails. It checks cfg in
+// full before it opens the data directory, and on a later failure it
+// stops the pusher and closes the Ingestor, so an error never leaves
+// the directory locked.
 func Run(ctx context.Context, cfg RunConfig) error {
 	logger := cfg.Logger
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
+	}
+	if cfg.TraceSample < 0 || cfg.TraceSample > 1 {
+		return fmt.Errorf("%w: trace sample rate %v (want in [0, 1])",
+			streamagg.ErrBadParam, cfg.TraceSample)
+	}
+	pushURL, pushMode, err := cfg.pushTarget()
+	if err != nil {
+		return err
 	}
 	pipe := streamagg.NewPipeline()
 	if err := AddSpecs(pipe, cfg.Specs); err != nil {
@@ -169,15 +212,14 @@ func Run(ctx context.Context, cfg RunConfig) error {
 	if err != nil {
 		return err
 	}
+	if cfg.Parallelism > 0 {
+		streamagg.SetParallelism(cfg.Parallelism)
+	}
 	srv, err := New(pipe, opts...)
 	if err != nil {
 		return err
 	}
 	srv.SetMetricsEnabled(!cfg.NoMetrics)
-	if cfg.TraceSample < 0 || cfg.TraceSample > 1 {
-		return fmt.Errorf("%w: trace sample rate %v (want in [0, 1])",
-			streamagg.ErrBadParam, cfg.TraceSample)
-	}
 	srv.Tracer().SetSampleRate(cfg.TraceSample)
 	if cfg.TraceSample > 0 {
 		logger.Info("tracing enabled", "sample_rate", cfg.TraceSample)
@@ -202,19 +244,36 @@ func Run(ctx context.Context, cfg RunConfig) error {
 			_ = ds.Shutdown(closeCtx)
 		}()
 	}
-	pusher, err := pusherFor(cfg, srv, logger)
-	if err != nil {
-		return err
-	}
-	var pushDone chan struct{}
-	if pusher != nil {
-		pushDone = make(chan struct{})
+	var pusher *federation.Pusher
+	pushDone := make(chan struct{})
+	pushCtx, stopPush := context.WithCancel(ctx)
+	defer stopPush()
+	if pushURL == "" {
+		close(pushDone)
+	} else {
+		// The pusher shares the server's tracer and parents its push
+		// spans on the last sampled ingest, so a trace recorded at this
+		// edge continues through the root's merge.
+		pusher, err = federation.NewPusher(federation.PusherConfig{
+			URL:      pushURL,
+			Node:     cfg.NodeID,
+			Source:   srv,
+			Mode:     pushMode,
+			Interval: cfg.PushEvery,
+			Registry: srv.Metrics(),
+			Logger:   logger,
+			Tracer:   srv.Tracer(),
+			Parent:   srv.LastIngestContext,
+		})
+		if err != nil {
+			return errors.Join(err, srv.Ingestor().Close())
+		}
 		go func() {
 			defer close(pushDone)
 			logger.Info("pushing",
 				"target", cfg.PushTo, "interval", pusher.Interval(), "node", cfg.NodeID,
 				"mode", pusher.Mode().String(), "epoch", pusher.Epoch())
-			_ = pusher.Run(ctx)
+			_ = pusher.Run(pushCtx)
 		}()
 	}
 
@@ -225,7 +284,9 @@ func Run(ctx context.Context, cfg RunConfig) error {
 	}()
 	select {
 	case err := <-errCh:
-		return err
+		stopPush()
+		<-pushDone
+		return errors.Join(err, srv.Ingestor().Close())
 	case <-ctx.Done():
 		if pusher != nil {
 			// Final push before the ingestor closes: drain what is

@@ -1,9 +1,9 @@
 package server
 
-// Aggregate specs: the flag syntax both cmd/aggserve and the streamtool
-// serve subcommand use to build a Pipeline, mapping straight onto
-// New/Pipeline.Add with the same functional options (and therefore the
-// same centralized ErrBadParam validation):
+// Aggregate specs: the flag syntax cmd/aggserve and streamtool push use
+// to build a Pipeline, mapping straight onto New/Pipeline.Add with the
+// same functional options (and therefore the same centralized
+// ErrBadParam validation):
 //
 //	-agg name=kind[,opt=value]...
 //
