@@ -1,7 +1,9 @@
 package streamagg
 
 import (
+	"bytes"
 	"encoding"
+	"encoding/gob"
 	"errors"
 	"strings"
 	"testing"
@@ -180,7 +182,19 @@ func TestCheckpointGarbage(t *testing.T) {
 	}
 }
 
-// schemeZeroCheckpoints seals count-min, count-sketch and
+// sealLegacy writes a checkpoint in the legacy format, a gob envelope
+// around a gob state, as releases before the framed format did.
+func sealLegacy(kind Kind, streamLen int64, state any) ([]byte, error) {
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(state); err != nil {
+		return nil, err
+	}
+	var out bytes.Buffer
+	err := gob.NewEncoder(&out).Encode(envelope{Kind: string(kind), StreamLen: streamLen, Body: body.Bytes()})
+	return out.Bytes(), err
+}
+
+// schemeZeroCheckpoints seals legacy count-min, count-sketch and
 // count-min-range envelopes whose state (for count-min-range, one level)
 // has hash scheme 0: what a checkpoint written before derived-row
 // hashing decodes as.
@@ -195,7 +209,7 @@ func schemeZeroCheckpoints(tb testing.TB) [][]byte {
 		kind  Kind
 		state any
 	}{{KindCountMin, st}, {KindCountSketch, st}, {KindCountMinRange, rs}} {
-		data, err := seal(c.kind, 3, c.state)
+		data, err := sealLegacy(c.kind, 3, c.state)
 		if err != nil {
 			tb.Fatal(err)
 		}

@@ -2,7 +2,7 @@ package federation
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -56,24 +56,20 @@ func propAggregate(t testing.TB, name string) streamagg.Aggregate {
 	return agg
 }
 
-// ckptEnvelope and ckptSharded mirror the checkpoint encodings of a
-// single aggregate and of a Sharded body, so a test can reach the cells.
-type ckptEnvelope struct {
-	Kind      string
-	StreamLen int64
-	Body      []byte
-}
-
-type ckptSharded struct {
-	Inner       string
-	Checkpoints [][]byte
-}
-
-func gobDecode(t *testing.T, data []byte, v any) {
+// frameBody splits a checkpoint frame (header layout in the root
+// package's gate.go) into its stream length, its body and what follows
+// the body, so a test can reach the cells.
+func frameBody(t *testing.T, data []byte) (streamLen int64, body, rest []byte) {
 	t.Helper()
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
-		t.Fatal(err)
+	const headerSize = 28
+	if len(data) < headerSize {
+		t.Fatalf("frame of %d bytes", len(data))
 	}
+	n := binary.LittleEndian.Uint64(data[16:])
+	if n > uint64(len(data)-headerSize) {
+		t.Fatalf("frame body of %d bytes, %d remain", n, len(data)-headerSize)
+	}
+	return int64(binary.LittleEndian.Uint64(data[8:])), data[headerSize : headerSize+n], data[headerSize+n:]
 }
 
 // linearCells decodes a linear aggregate's checkpoint down to its
@@ -82,36 +78,51 @@ func gobDecode(t *testing.T, data []byte, v any) {
 // the stream.
 func linearCells(t *testing.T, data []byte) any {
 	t.Helper()
-	var env ckptEnvelope
-	gobDecode(t, data, &env)
-	switch streamagg.Kind(env.Kind) {
+	kind, err := streamagg.CheckpointKind(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamLen, body, _ := frameBody(t, data)
+	switch kind {
 	case streamagg.KindCountMin:
-		var st cms.State
-		gobDecode(t, env.Body, &st)
+		s, err := cms.DecodeSketch(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := s.State()
 		st.Seed = 0
-		return []any{env.StreamLen, st}
+		return []any{streamLen, st}
 	case streamagg.KindCountMinRange:
-		var st cms.RangeState
-		gobDecode(t, env.Body, &st)
+		r, err := cms.DecodeRange(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := r.State()
 		for i := range st.Levels {
 			st.Levels[i].Seed = 0
 		}
-		return []any{env.StreamLen, st}
+		return []any{streamLen, st}
 	case streamagg.KindCountSketch:
-		var st cms.State
-		gobDecode(t, env.Body, &st)
+		s, err := cms.DecodeCountSketch(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := s.State()
 		st.Seed = 0
-		return []any{env.StreamLen, st}
+		return []any{streamLen, st}
 	case streamagg.KindSharded:
-		var st ckptSharded
-		gobDecode(t, env.Body, &st)
-		out := []any{env.StreamLen, st.Inner}
-		for _, c := range st.Checkpoints {
-			out = append(out, linearCells(t, c))
+		// Body: a u32 shard count, then per shard an empty name (one
+		// zero byte) and the shard's frame.
+		out := []any{streamLen}
+		for rest := body[4:]; len(rest) > 0; {
+			shard := rest[1:]
+			_, _, after := frameBody(t, shard)
+			out = append(out, linearCells(t, shard[:len(shard)-len(after)]))
+			rest = after
 		}
 		return out
 	}
-	t.Fatalf("linearCells: %s is not a linear kind", env.Kind)
+	t.Fatalf("linearCells: %s is not a linear kind", kind)
 	return nil
 }
 

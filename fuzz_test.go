@@ -1,7 +1,8 @@
 package streamagg
 
 // Native Go fuzz targets for the checkpoint surface: UnmarshalBinary on
-// every aggregate kind, on Sharded, and on whole-Pipeline envelopes.
+// every aggregate kind, on Sharded, and on whole-Pipeline checkpoints,
+// in the framed format and the legacy gob one.
 // The contract under fuzzing is strict: corrupted or truncated input
 // must produce an error — never a panic, and never an allocation driven
 // by unvalidated decoded lengths (OOM). When a mutated envelope happens
@@ -9,6 +10,9 @@ package streamagg
 // use (queries and a small batch).
 
 import (
+	"encoding/binary"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -61,9 +65,38 @@ func fuzzSeedCheckpoints(f *testing.F) [][]byte {
 	return append(out, ckpt)
 }
 
+// legacySeedCheckpoints returns checkpoints in the legacy gob format:
+// the parent fixture pipeline, each of its members, and a sharded
+// wrapper around its count-min member.
+func legacySeedCheckpoints(f *testing.F) [][]byte {
+	f.Helper()
+	pipe, err := os.ReadFile(filepath.Join("testdata", "parent_pipeline.ckpt"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var ps pipelineState
+	if _, err := openLegacy(kindPipeline, pipe, &ps); err != nil {
+		f.Fatal(err)
+	}
+	out := append([][]byte{pipe}, ps.Checkpoints...)
+	for i, kind := range ps.Kinds {
+		if Kind(kind) != KindCountMin {
+			continue
+		}
+		sharded, err := sealLegacy(KindSharded, 0, shardedState{Inner: kind, Checkpoints: ps.Checkpoints[i : i+1]})
+		if err != nil {
+			f.Fatal(err)
+		}
+		out = append(out, sharded)
+	}
+	return out
+}
+
+// fuzzSeed seeds every kind's checkpoint in both formats, framed and
+// legacy, whole and truncated.
 func fuzzSeed(f *testing.F) {
 	f.Helper()
-	for _, ckpt := range fuzzSeedCheckpoints(f) {
+	for _, ckpt := range append(fuzzSeedCheckpoints(f), legacySeedCheckpoints(f)...) {
 		f.Add(ckpt)
 		f.Add(ckpt[:len(ckpt)/2]) // truncated envelope
 	}
@@ -72,6 +105,20 @@ func fuzzSeed(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte("garbage that is not gob"))
+}
+
+// resealed returns data with its outer frame's CRC recomputed, so that
+// mutations inside a framed body reach the body decoders instead of
+// stopping at the checksum. Input that is not a whole frame is returned
+// as is.
+func resealed(data []byte) []byte {
+	f, rest, err := readHeader(data)
+	if err != nil || len(rest) != 0 {
+		return data
+	}
+	out := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(out[24:], frameCRC(out, f.body))
+	return out
 }
 
 // exerciseRestored runs light queries and a small batch against an
@@ -105,14 +152,16 @@ func FuzzAggregateUnmarshal(f *testing.F) {
 			t.Skip()
 		}
 		for _, kind := range fuzzKinds {
-			fresh, err := zeroAggregate(kind)
-			if err != nil {
-				t.Fatal(err)
+			for _, in := range [][]byte{data, resealed(data)} {
+				fresh, err := zeroAggregate(kind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := fresh.UnmarshalBinary(in); err != nil {
+					continue
+				}
+				exerciseRestored(fresh)
 			}
-			if err := fresh.UnmarshalBinary(data); err != nil {
-				continue
-			}
-			exerciseRestored(fresh)
 		}
 	})
 }
@@ -125,15 +174,17 @@ func FuzzShardedUnmarshal(f *testing.F) {
 		if len(data) > 1<<20 {
 			t.Skip()
 		}
-		var s Sharded
-		if err := s.UnmarshalBinary(data); err != nil {
-			return
-		}
-		exerciseRestored(&s)
-		if _, err := s.Snapshot(); err != nil {
-			// A restored shard set that cannot merge is acceptable; a
-			// panic is not.
-			_ = err
+		for _, in := range [][]byte{data, resealed(data)} {
+			var s Sharded
+			if err := s.UnmarshalBinary(in); err != nil {
+				continue
+			}
+			exerciseRestored(&s)
+			if _, err := s.Snapshot(); err != nil {
+				// A restored shard set that cannot merge is acceptable; a
+				// panic is not.
+				_ = err
+			}
 		}
 	})
 }
@@ -163,19 +214,21 @@ func FuzzPipelineUnmarshal(f *testing.F) {
 		if len(data) > 1<<20 {
 			t.Skip()
 		}
-		var p Pipeline
-		if err := p.UnmarshalBinary(data); err != nil {
-			return
-		}
-		for _, name := range p.Names() {
-			_, _ = p.Estimate(name, 42)
-			_, _ = p.Value(name)
-			_, _ = p.TopK(name, 3)
-			_, _ = p.RangeCount(name, 0, 10)
-		}
-		_ = p.ProcessBatch([]uint64{1, 2, 3})
-		if _, err := p.MarshalBinary(); err != nil {
-			t.Fatalf("restored pipeline cannot re-checkpoint: %v", err)
+		for _, in := range [][]byte{data, resealed(data)} {
+			var p Pipeline
+			if err := p.UnmarshalBinary(in); err != nil {
+				continue
+			}
+			for _, name := range p.Names() {
+				_, _ = p.Estimate(name, 42)
+				_, _ = p.Value(name)
+				_, _ = p.TopK(name, 3)
+				_, _ = p.RangeCount(name, 0, 10)
+			}
+			_ = p.ProcessBatch([]uint64{1, 2, 3})
+			if _, err := p.MarshalBinary(); err != nil {
+				t.Fatalf("restored pipeline cannot re-checkpoint: %v", err)
+			}
 		}
 	})
 }

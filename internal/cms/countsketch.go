@@ -2,7 +2,6 @@ package cms
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/hist"
 )
@@ -113,16 +112,30 @@ func (s *CountSketch) foldRows(h []hist.Entry, lo, hi int) {
 func (s *CountSketch) Query(item uint64) int64 {
 	g1, g2 := s.base.Base(item)
 	sw := s.base.SignWord(g1, g2)
-	ests := make([]int64, s.d)
+	var buf [32]int64 // d = ⌈ln(1/δ)⌉ fits for any δ ≥ e⁻³²
+	ests := buf[:0]
+	if s.d > len(buf) {
+		ests = make([]int64, 0, s.d)
+	}
 	for i, row := range s.rows {
-		ests[i] = signFromWord(sw, i) * row[s.base.Row(g1, g2, i)]
+		ests = append(ests, signFromWord(sw, i)*row[s.base.Row(g1, g2, i)])
 	}
-	sort.Slice(ests, func(a, b int) bool { return ests[a] < ests[b] })
-	mid := s.d / 2
-	if s.d%2 == 1 {
-		return ests[mid]
+	return median(ests)
+}
+
+// median sorts xs in place by insertion (d is a handful of rows) and
+// returns its median, the mean of the middle two when len(xs) is even.
+func median(xs []int64) int64 {
+	for i := 1; i < len(xs); i++ {
+		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
+			xs[j], xs[j-1] = xs[j-1], xs[j]
+		}
 	}
-	return (ests[mid-1] + ests[mid]) / 2
+	mid := len(xs) / 2
+	if len(xs)%2 == 1 {
+		return xs[mid]
+	}
+	return (xs[mid-1] + xs[mid]) / 2
 }
 
 // Compatible reports whether o can merge into s: equal dimensions and

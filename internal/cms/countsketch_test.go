@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -170,5 +171,53 @@ func TestCountSketchSubtractUndoesMerge(t *testing.T) {
 	}
 	if err := a.Subtract(NewCountSketch(0.1, 0.05, 6)); err == nil || !reflect.DeepEqual(a.State(), before) {
 		t.Fatalf("mismatched Subtract: err %v, or the sketch changed", err)
+	}
+}
+
+// TestCountSketchMedianMatchesSort: the insertion-sort median equals the
+// sort-based one for every depth 1…9 (odd and even) over random rows, and
+// for a depth past Query's stack buffer.
+func TestCountSketchMedianMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, d := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 40} {
+		for trial := 0; trial < 200; trial++ {
+			xs := make([]int64, d)
+			for i := range xs {
+				xs[i] = rng.Int63n(2001) - 1000
+			}
+			sorted := append([]int64(nil), xs...)
+			sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
+			want := sorted[d/2]
+			if d%2 == 0 {
+				want = (sorted[d/2-1] + sorted[d/2]) / 2
+			}
+			if got := median(xs); got != want {
+				t.Fatalf("d=%d: median %d, sort-based %d", d, got, want)
+			}
+		}
+	}
+	// Query itself, past the stack buffer, against the same reference.
+	s := NewCountSketchWithDims(40, 64, 9)
+	for i := uint64(0); i < 5000; i++ {
+		s.Update(i%300, 1)
+	}
+	g1, g2 := s.base.Base(7)
+	sw := s.base.SignWord(g1, g2)
+	ests := make([]int64, s.d)
+	for i, row := range s.rows {
+		ests[i] = signFromWord(sw, i) * row[s.base.Row(g1, g2, i)]
+	}
+	sort.Slice(ests, func(a, b int) bool { return ests[a] < ests[b] })
+	if got, want := s.Query(7), (ests[19]+ests[20])/2; got != want {
+		t.Fatalf("d=40 Query = %d, sort-based median %d", got, want)
+	}
+}
+
+// TestCountSketchQueryAllocs pins Query to zero allocations.
+func TestCountSketchQueryAllocs(t *testing.T) {
+	s := NewCountSketch(0.05, 0.001, 4) // d = 7
+	s.ProcessBatch([]uint64{1, 2, 3, 3, 7, 7, 7})
+	if allocs := testing.AllocsPerRun(100, func() { _ = s.Query(7) }); allocs != 0 {
+		t.Fatalf("Query allocates %.1f objects, want 0", allocs)
 	}
 }

@@ -16,7 +16,8 @@ import (
 // and how a query reads the item's cells back.
 type table struct {
 	d, w     int
-	rows     [][]int64
+	cells    []int64   // row-major d×w
+	rows     [][]int64 // views of cells, one per row
 	base     hashfn.Derived
 	m        int64
 	hashSeed int64 // constructor seed: determines the hash family
@@ -33,11 +34,10 @@ func newTable(d, w int, seed int64) table {
 	if d < 1 || w < 1 {
 		panic("cms: dimensions must be >= 1")
 	}
-	t := table{d: d, w: w, base: hashfn.NewDerived(uint64(w), seed), hashSeed: seed, seed: seed}
+	t := table{d: d, w: w, cells: make([]int64, d*w), base: hashfn.NewDerived(uint64(w), seed), hashSeed: seed, seed: seed}
 	t.rows = make([][]int64, d)
-	flat := make([]int64, d*w)
 	for i := range t.rows {
-		t.rows[i] = flat[i*w : (i+1)*w]
+		t.rows[i] = t.cells[i*w : (i+1)*w]
 	}
 	return t
 }
@@ -100,8 +100,10 @@ func (t *table) addHistogram(h []hist.Entry, k kernel) {
 	}
 }
 
-// State is the serializable form of either linear kind. The hash family
-// is not serialized; it is redrawn deterministically from HashSeed.
+// State is the gob form of either linear kind in checkpoints written
+// before the framed format, which the legacy reader still restores. The
+// hash family is not serialized; it is redrawn deterministically from
+// HashSeed.
 type State struct {
 	D, W     int
 	M        int64
@@ -118,12 +120,9 @@ type State struct {
 // sketch uses.
 const schemeDerived = 1
 
-// State captures the table for serialization.
+// State captures the table in its legacy form.
 func (t *table) State() State {
-	cells := make([]int64, 0, t.d*t.w)
-	for _, row := range t.rows {
-		cells = append(cells, row...)
-	}
+	cells := append([]int64(nil), t.cells...)
 	return State{D: t.d, W: t.w, M: t.m, HashSeed: t.hashSeed, Seed: t.seed, Scheme: schemeDerived, Cells: cells}
 }
 
@@ -136,7 +135,8 @@ const maxStateDim = 1 << 28
 // scheme.
 var errSchemeZero = errors.New("cms: hash scheme 0 (a checkpoint older than derived-row hashing) is no longer supported")
 
-// fromState reconstructs a table, validating invariants.
+// fromState reconstructs a table from its legacy form, validating
+// invariants.
 func fromState(st State) (table, error) {
 	if st.D < 1 || st.W < 1 || st.D > maxStateDim || st.W > maxStateDim {
 		return table{}, fmt.Errorf("cms: bad state dims %dx%d", st.D, st.W)
@@ -153,9 +153,7 @@ func fromState(st State) (table, error) {
 	}
 	t := newTable(st.D, st.W, st.HashSeed)
 	t.m, t.seed = st.M, st.Seed
-	for i, row := range t.rows {
-		copy(row, st.Cells[i*st.W:])
-	}
+	copy(t.cells, st.Cells)
 	return t, nil
 }
 
@@ -194,8 +192,6 @@ func (t *table) add(o *table, sign int64) error {
 func (t *table) clone() table {
 	c := newTable(t.d, t.w, t.hashSeed)
 	c.m, c.seed = t.m, t.seed
-	for i, row := range t.rows {
-		copy(c.rows[i], row)
-	}
+	copy(c.cells, t.cells)
 	return c
 }

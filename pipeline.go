@@ -25,6 +25,7 @@ package streamagg
 // each aggregate's reader-writer gate.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -443,35 +444,27 @@ func cloneAggregate(agg Aggregate) (Aggregate, error) {
 	return out, nil
 }
 
-// kindPipeline tags whole-pipeline checkpoints in the shared envelope
-// format.
+// kindPipeline tags whole-pipeline checkpoints.
 const kindPipeline Kind = "pipeline"
-
-// pipelineState is the body of a pipeline checkpoint: the registration
-// order plus each aggregate's own kind-tagged checkpoint.
-type pipelineState struct {
-	Names       []string
-	Kinds       []string
-	Checkpoints [][]byte
-}
 
 // MarshalBinary checkpoints the entire pipeline atomically: it waits for
 // the in-flight minibatch (if any) to finish, then captures every
-// aggregate at the same batch boundary in one envelope.
+// aggregate at the same batch boundary in one frame whose body lists the
+// members in registration order, each with its own frame inline.
 func (p *Pipeline) MarshalBinary() ([]byte, error) {
 	p.batch.Lock()
 	defer p.batch.Unlock()
-	var st pipelineState
-	for _, m := range p.snapshot() {
-		ckpt, err := m.agg.MarshalBinary()
-		if err != nil {
-			return nil, fmt.Errorf("streamagg: checkpointing pipeline aggregate %q: %w", m.name, err)
+	ms := p.snapshot()
+	return appendFrame(nil, kindPipeline, p.streamLen.Load(), func(dst []byte) ([]byte, error) {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ms)))
+		for _, m := range ms {
+			var err error
+			if dst, err = appendMember(dst, m.name, m.agg); err != nil {
+				return nil, fmt.Errorf("checkpointing pipeline aggregate %q: %w", m.name, err)
+			}
 		}
-		st.Names = append(st.Names, m.name)
-		st.Kinds = append(st.Kinds, string(m.agg.Kind()))
-		st.Checkpoints = append(st.Checkpoints, ckpt)
-	}
-	return seal(kindPipeline, p.streamLen.Load(), st)
+		return dst, nil
+	})
 }
 
 // UnmarshalBinary restores a checkpoint made by MarshalBinary,
@@ -479,29 +472,25 @@ func (p *Pipeline) MarshalBinary() ([]byte, error) {
 // registrations, if any, are replaced). It is valid on a zero-value
 // Pipeline.
 func (p *Pipeline) UnmarshalBinary(data []byte) error {
-	var st pipelineState
-	env, err := open(kindPipeline, data, &st)
+	ms, streamLen, err := openMembers(kindPipeline, data)
 	if err != nil {
 		return err
 	}
-	if len(st.Names) != len(st.Kinds) || len(st.Names) != len(st.Checkpoints) {
-		return fmt.Errorf("%w: pipeline checkpoint tables disagree", ErrBadParam)
-	}
-	aggs := make(map[string]Aggregate, len(st.Names))
-	members := make([]member, 0, len(st.Names))
-	for i, name := range st.Names {
-		agg, err := zeroAggregate(Kind(st.Kinds[i]))
+	aggs := make(map[string]Aggregate, len(ms))
+	members := make([]member, 0, len(ms))
+	for _, m := range ms {
+		agg, err := zeroAggregate(m.kind)
 		if err != nil {
-			return fmt.Errorf("streamagg: restoring pipeline aggregate %q: %w", name, err)
+			return fmt.Errorf("streamagg: restoring pipeline aggregate %q: %w", m.name, err)
 		}
-		if err := agg.UnmarshalBinary(st.Checkpoints[i]); err != nil {
-			return fmt.Errorf("streamagg: restoring pipeline aggregate %q: %w", name, err)
+		if err := agg.UnmarshalBinary(m.ckpt); err != nil {
+			return fmt.Errorf("streamagg: restoring pipeline aggregate %q: %w", m.name, err)
 		}
-		if _, dup := aggs[name]; dup {
-			return fmt.Errorf("%w: pipeline checkpoint repeats name %q", ErrBadParam, name)
+		if _, dup := aggs[m.name]; dup {
+			return fmt.Errorf("%w: pipeline checkpoint repeats name %q", ErrBadParam, m.name)
 		}
-		aggs[name] = agg
-		members = append(members, newMember(name, agg))
+		aggs[m.name] = agg
+		members = append(members, newMember(m.name, agg))
 	}
 	p.batch.Lock()
 	defer p.batch.Unlock()
@@ -509,7 +498,7 @@ func (p *Pipeline) UnmarshalBinary(data []byte) error {
 	defer p.reg.Unlock()
 	p.aggs = aggs
 	p.members = members
-	p.streamLen.Store(env.StreamLen)
+	p.streamLen.Store(streamLen)
 	return nil
 }
 

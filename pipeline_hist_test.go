@@ -254,7 +254,7 @@ type parentFixture struct {
 func assertDerivedScheme(t *testing.T, ckpt []byte) {
 	t.Helper()
 	var ps pipelineState
-	if _, err := open(kindPipeline, ckpt, &ps); err != nil {
+	if _, err := openLegacy(kindPipeline, ckpt, &ps); err != nil {
 		t.Fatal(err)
 	}
 	var states []cms.State
@@ -262,13 +262,13 @@ func assertDerivedScheme(t *testing.T, ckpt []byte) {
 		switch Kind(kind) {
 		case KindCountMin, KindCountSketch:
 			var st cms.State
-			if _, err := open(Kind(kind), ps.Checkpoints[i], &st); err != nil {
+			if _, err := openLegacy(Kind(kind), ps.Checkpoints[i], &st); err != nil {
 				t.Fatal(err)
 			}
 			states = append(states, st)
 		case KindCountMinRange:
 			var rs cms.RangeState
-			if _, err := open(Kind(kind), ps.Checkpoints[i], &rs); err != nil {
+			if _, err := openLegacy(Kind(kind), ps.Checkpoints[i], &rs); err != nil {
 				t.Fatal(err)
 			}
 			states = append(states, rs.Levels...)

@@ -3,6 +3,7 @@ package server
 import (
 	"flag"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -64,4 +65,24 @@ func TestRegisterFlagsDocumented(t *testing.T) {
 			t.Errorf("-%s has no usage string", f.Name)
 		}
 	})
+}
+
+// TestLatencyFlag: -h prints no negative sentinel for -latency, an
+// omitted -latency still means the library default (-1) and -latency 0
+// still means flush immediately.
+func TestLatencyFlag(t *testing.T) {
+	fs := flag.NewFlagSet("aggserve", flag.ContinueOnError)
+	RegisterFlags(fs)
+	var help strings.Builder
+	fs.SetOutput(&help)
+	fs.PrintDefaults()
+	if strings.Contains(help.String(), "-1ns") {
+		t.Errorf("-h shows the unset sentinel:\n%s", help.String())
+	}
+	if got := parseRunFlags(t).MaxLatency; got != -1 {
+		t.Errorf("omitted -latency: MaxLatency = %v, want -1", got)
+	}
+	if got := parseRunFlags(t, "-latency", "0").MaxLatency; got != 0 {
+		t.Errorf("-latency 0: MaxLatency = %v, want 0", got)
+	}
 }

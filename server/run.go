@@ -96,7 +96,9 @@ func RegisterFlags(fs *flag.FlagSet) func() RunConfig {
 	})
 	fs.StringVar(&cfg.Addr, "addr", ":8080", "listen address")
 	fs.IntVar(&cfg.BatchSize, "batch", 0, "minibatch flush threshold (default 8192)")
-	fs.DurationVar(&cfg.MaxLatency, "latency", -1, "max time a queued update may wait (default 5ms; 0 = flush immediately)")
+	// Registered with default 0 so -h prints no sentinel; an omitted
+	// -latency becomes -1 (library default) below, since 0 is meaningful.
+	fs.DurationVar(&cfg.MaxLatency, "latency", 0, "max time a queued update may wait (default 5ms; 0 = flush immediately)")
 	fs.IntVar(&cfg.QueueCap, "queue", 0, "ingest queue capacity in items (default 4x batch)")
 	fs.StringVar(&cfg.Backpressure, "backpressure", "block", "full-queue policy: block, reject, or drop")
 	fs.StringVar(&cfg.DataDir, "data-dir", "", "durability directory: WAL + snapshots, recovered on startup (default in-memory only)")
@@ -112,6 +114,11 @@ func RegisterFlags(fs *flag.FlagSet) func() RunConfig {
 	fs.StringVar(&cfg.PushMode, "push-mode", "", "federation push mode: full (idempotent, default) or delta (small payloads)")
 	return func() RunConfig {
 		cfg.NoMetrics = !*metricsOn
+		latencySet := false
+		fs.Visit(func(f *flag.Flag) { latencySet = latencySet || f.Name == "latency" })
+		if !latencySet {
+			cfg.MaxLatency = -1
+		}
 		return cfg
 	}
 }

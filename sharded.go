@@ -21,6 +21,7 @@ package streamagg
 // bounds documented on Merger.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -365,7 +366,7 @@ func (s *Sharded) Quantile(q float64) (out uint64) {
 
 // cloneMergeable deep-copies one of the mergeable kinds under its read
 // lock — the cheap memcpy path Snapshot uses for shard 0 and Clone for
-// every mergeable member, avoiding a gob round trip per copy.
+// every mergeable member, avoiding a checkpoint round trip per copy.
 func cloneMergeable(agg Aggregate) (Aggregate, bool) {
 	switch a := agg.(type) {
 	case *Sharded:
@@ -513,53 +514,47 @@ func (s *Sharded) fold(other Aggregate, op foldOp) error {
 	})
 }
 
-// shardedState is the body of a sharded checkpoint: the inner kind plus
-// each shard's own kind-tagged checkpoint, in shard order.
-type shardedState struct {
-	Inner       string
-	Checkpoints [][]byte
-}
-
 // MarshalBinary checkpoints the whole shard set atomically: taken under
 // the wrapper's gate, it captures every shard at the same minibatch
-// boundary in one envelope.
+// boundary in one frame whose body lists the shards in order, each with
+// an empty name and its own frame inline.
 func (s *Sharded) MarshalBinary() ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	st := shardedState{Inner: string(s.inner)}
-	for i, sh := range s.shards {
-		ckpt, err := sh.MarshalBinary()
-		if err != nil {
-			return nil, fmt.Errorf("streamagg: checkpointing shard %d: %w", i, err)
+	return appendFrame(nil, KindSharded, s.streamLen, func(dst []byte) ([]byte, error) {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s.shards)))
+		for i, sh := range s.shards {
+			var err error
+			if dst, err = appendMember(dst, "", sh); err != nil {
+				return nil, fmt.Errorf("checkpointing shard %d: %w", i, err)
+			}
 		}
-		st.Checkpoints = append(st.Checkpoints, ckpt)
-	}
-	return seal(KindSharded, s.streamLen, st)
+		return dst, nil
+	})
 }
 
 // UnmarshalBinary restores a checkpoint made by MarshalBinary,
 // rebuilding every shard. It is valid on a zero-value Sharded.
 func (s *Sharded) UnmarshalBinary(data []byte) error {
-	var st shardedState
-	env, err := open(KindSharded, data, &st)
+	ms, streamLen, err := openMembers(KindSharded, data)
 	if err != nil {
 		return err
 	}
-	inner := Kind(st.Inner)
-	if !shardable[inner] {
-		return fmt.Errorf("%w: kind %q is not shardable", ErrBadParam, st.Inner)
-	}
-	if len(st.Checkpoints) < 1 || len(st.Checkpoints) > maxShards {
+	if len(ms) < 1 || len(ms) > maxShards {
 		return fmt.Errorf("%w: sharded checkpoint has %d shards (want 1..%d)",
-			ErrBadParam, len(st.Checkpoints), maxShards)
+			ErrBadParam, len(ms), maxShards)
 	}
-	shards := make([]Aggregate, len(st.Checkpoints))
-	for i, ckpt := range st.Checkpoints {
+	inner := ms[0].kind
+	if !shardable[inner] {
+		return fmt.Errorf("%w: kind %q is not shardable", ErrBadParam, inner)
+	}
+	shards := make([]Aggregate, len(ms))
+	for i, m := range ms {
 		agg, err := zeroAggregate(inner)
 		if err != nil {
 			return err
 		}
-		if err := agg.UnmarshalBinary(ckpt); err != nil {
+		if err := agg.UnmarshalBinary(m.ckpt); err != nil {
 			return fmt.Errorf("streamagg: restoring shard %d: %w", i, err)
 		}
 		shards[i] = agg
@@ -569,6 +564,6 @@ func (s *Sharded) UnmarshalBinary(data []byte) error {
 	s.invalidateSnap()
 	s.inner = inner
 	s.shards = shards
-	s.streamLen = env.StreamLen
+	s.streamLen = streamLen
 	return nil
 }

@@ -1,6 +1,7 @@
 package streamagg
 
 import (
+	"encoding/binary"
 	"errors"
 	"sync"
 	"testing"
@@ -401,14 +402,26 @@ func TestShardedCheckpointRejectsBadEnvelopes(t *testing.T) {
 	if err := s.UnmarshalBinary(aggCkpt); !errors.Is(err, ErrBadParam) {
 		t.Fatalf("plain aggregate checkpoint accepted by Sharded: %v", err)
 	}
-	// A sharded envelope whose inner kind is itself "sharded" must be
-	// rejected (no recursive shard nesting).
-	nested, err := seal(KindSharded, 0, shardedState{Inner: string(KindSharded), Checkpoints: [][]byte{aggCkpt}})
+	// A sharded checkpoint whose inner kind is itself "sharded" must be
+	// rejected (no recursive shard nesting), in either format.
+	legacyNested, err := sealLegacy(KindSharded, 0, shardedState{Inner: string(KindSharded), Checkpoints: [][]byte{aggCkpt}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.UnmarshalBinary(nested); !errors.Is(err, ErrBadParam) {
-		t.Fatalf("nested sharded checkpoint accepted: %v", err)
+	inner, err := NewSharded(KindFreq, 2, WithEpsilon(0.1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nested, err := appendFrame(nil, KindSharded, 0, func(dst []byte) ([]byte, error) {
+		return appendMember(binary.LittleEndian.AppendUint32(dst, 1), "", inner)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, data := range [][]byte{legacyNested, nested} {
+		if err := s.UnmarshalBinary(data); !errors.Is(err, ErrBadParam) {
+			t.Fatalf("nested sharded checkpoint accepted: %v", err)
+		}
 	}
 	// Zero-value Sharded cannot ingest.
 	if err := s.ProcessBatch([]uint64{1}); !errors.Is(err, ErrBadParam) {
