@@ -380,8 +380,6 @@ func (in *Ingestor) signal() {
 
 // appendLocked accepts items into the queue. Caller holds mu and has
 // verified they fit.
-//
-//agglint:hotpath
 func (in *Ingestor) appendLocked(items []uint64) {
 	if len(in.buf) == 0 {
 		in.firstAt = in.now()
@@ -395,8 +393,6 @@ func (in *Ingestor) appendLocked(items []uint64) {
 // high-rate producer path stays allocation-free (the queue buffer is
 // recycled between flushes, so appends only grow it until the working
 // size is reached). Semantics match PutBatch with one item.
-//
-//agglint:hotpath
 func (in *Ingestor) Put(item uint64) error {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -614,8 +610,6 @@ func (in *Ingestor) worker() {
 // sink sees it — a batch whose effects are queryable is always
 // recoverable. An append failure leaves the batch unapplied rather than
 // applied-but-unlogged.
-//
-//agglint:hotpath
 func (in *Ingestor) commit(batch []uint64, parent trace.SpanContext) error {
 	if in.store != nil {
 		ws := in.tracer.Child("persist.wal_append", parent)

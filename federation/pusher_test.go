@@ -95,7 +95,6 @@ func newTestPusher(t *testing.T, root *fakeRoot, cfg PusherConfig) (*Pusher, *me
 
 func counter(reg *metrics.Registry, result string) *metrics.Counter {
 	return reg.Counter("streamagg_federation_pushes_total",
-		//agglint:ignore metriclabel test helper; call sites pass the fixed outcome literals
 		"Federation push attempts by outcome.", "result", result)
 }
 

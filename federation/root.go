@@ -146,7 +146,6 @@ func (r *Root) node(id string) *nodeState {
 		}
 		ns = &nodeState{
 			lastSeq: r.reg.Gauge("streamagg_federation_node_last_seq",
-				//agglint:ignore metriclabel bounded: at most maxNodeSeries IDs get a series, the rest fold into "overflow"
 				"Last applied push seq per edge node.", "node", label),
 		}
 		if label == id {
@@ -160,7 +159,6 @@ func (r *Root) node(id string) *nodeState {
 						return 0
 					}
 					return time.Duration(r.now().UnixNano() - last).Seconds()
-					//agglint:ignore metriclabel bounded: only registered while under the maxNodeSeries cap
 				}, "node", label)
 		}
 		r.nodes[id] = ns

@@ -3,6 +3,8 @@ package federation
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	streamagg "repro"
@@ -97,6 +99,72 @@ func TestRootApplyAndDedup(t *testing.T) {
 	}
 	if !nodes[0].HasContribution || nodes[0].ContributionLen != 11_000 {
 		t.Fatalf("Nodes() contribution = %+v", nodes[0])
+	}
+}
+
+// TestRootNodeSeriesCap: node IDs arrive off the wire, so only the
+// first maxNodeSeries nodes get per-node series. Every later node shares
+// one node="overflow" series and still has each push applied.
+func TestRootNodeSeriesCap(t *testing.T) {
+	const nodes = maxNodeSeries + 8
+	pipe := func() *streamagg.Pipeline {
+		p := streamagg.NewPipeline()
+		if _, err := p.Add("cm", streamagg.KindCountMin, streamagg.WithEpsilon(0.01), streamagg.WithSeed(7)); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	reg := metrics.NewRegistry()
+	root := NewRoot(pipe(), reg)
+	var total int64
+	for i := 0; i < nodes; i++ {
+		edge := pipe()
+		items := workload.Zipf(int64(i), 100+i, 1.2, 1<<10)
+		feed(t, edge, items)
+		total += int64(len(items))
+		if err := root.Apply(pipelineEnvelope(t, edge, fmt.Sprintf("edge-%02d", i), 1, 1, ModeFull)); err != nil {
+			t.Fatal(err)
+		}
+		if i >= maxNodeSeries { // an overflow node's second push replaces its first
+			feed(t, edge, items)
+			total += int64(len(items))
+			if err := root.Apply(pipelineEnvelope(t, edge, fmt.Sprintf("edge-%02d", i), 1, 2, ModeFull)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	var scrape bytes.Buffer
+	if err := reg.WriteText(&scrape); err != nil {
+		t.Fatal(err)
+	}
+	var perNode, overflow, staleness int
+	for _, line := range strings.Split(scrape.String(), "\n") {
+		switch {
+		case strings.HasPrefix(line, `streamagg_federation_node_last_seq{node="overflow"}`):
+			overflow++
+		case strings.HasPrefix(line, `streamagg_federation_node_last_seq{node=`):
+			perNode++
+		case strings.HasPrefix(line, `streamagg_federation_node_staleness_seconds{node=`):
+			staleness++
+		}
+	}
+	if perNode != maxNodeSeries || overflow != 1 || staleness > maxNodeSeries {
+		t.Fatalf("after %d nodes: %d per-node last_seq series, %d overflow, %d staleness; want %d, 1, <= %d",
+			nodes, perNode, overflow, staleness, maxNodeSeries, maxNodeSeries)
+	}
+
+	for i, st := range root.Nodes() {
+		wantSeq := uint64(1)
+		if i >= maxNodeSeries {
+			wantSeq = 2
+		}
+		if st.Seq != wantSeq || !st.HasContribution {
+			t.Fatalf("%s: seq %d, contribution %v; want seq %d applied", st.Node, st.Seq, st.HasContribution, wantSeq)
+		}
+	}
+	if got := root.View().StreamLen(); got != total {
+		t.Fatalf("view StreamLen = %d, want %d", got, total)
 	}
 }
 

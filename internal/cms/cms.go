@@ -71,8 +71,6 @@ func (s *Sketch) Update(item uint64, count int64) {
 // ProcessBatch ingests a minibatch of items with the parallel algorithm
 // of Theorem 6.1: one pass of the resident histogram builder, then
 // AddHistogram.
-//
-//agglint:hotpath
 func (s *Sketch) ProcessBatch(items []uint64) {
 	if len(items) == 0 {
 		return
@@ -83,13 +81,9 @@ func (s *Sketch) ProcessBatch(items []uint64) {
 
 // AddHistogram folds a precomputed histogram (one entry per distinct
 // item) into the sketch; h is only read.
-//
-//agglint:hotpath
 func (s *Sketch) AddHistogram(h []hist.Entry) { s.addHistogram(h, s) }
 
 // hashEntries fills the base-hash scratch for entries [lo, hi) of h.
-//
-//agglint:hotpath
 func (s *Sketch) hashEntries(h []hist.Entry, lo, hi int) {
 	for j := lo; j < hi; j++ {
 		s.g1[j], s.g2[j] = s.base.Base(h[j].Item)
@@ -98,8 +92,6 @@ func (s *Sketch) hashEntries(h []hist.Entry, lo, hi int) {
 
 // foldRows adds h into rows [lo, hi), one row at a time; the caller is
 // those rows' only writer.
-//
-//agglint:hotpath
 func (s *Sketch) foldRows(h []hist.Entry, lo, hi int) {
 	g1, g2 := s.g1, s.g2
 	for i := lo; i < hi; i++ {

@@ -63,8 +63,6 @@ func (s *CountSketch) Update(item uint64, count int64) {
 
 // ProcessBatch ingests a minibatch in parallel: one pass of the resident
 // histogram builder, then AddHistogram.
-//
-//agglint:hotpath
 func (s *CountSketch) ProcessBatch(items []uint64) {
 	if len(items) == 0 {
 		return
@@ -75,8 +73,6 @@ func (s *CountSketch) ProcessBatch(items []uint64) {
 
 // AddHistogram folds a precomputed histogram (one entry per distinct
 // item) into the sketch; h is only read.
-//
-//agglint:hotpath
 func (s *CountSketch) AddHistogram(h []hist.Entry) {
 	grow(&s.sw, len(h))
 	s.addHistogram(h, s)
@@ -84,8 +80,6 @@ func (s *CountSketch) AddHistogram(h []hist.Entry) {
 
 // hashEntries fills the base-hash and sign-word scratch for entries
 // [lo, hi) of h.
-//
-//agglint:hotpath
 func (s *CountSketch) hashEntries(h []hist.Entry, lo, hi int) {
 	for j := lo; j < hi; j++ {
 		s.g1[j], s.g2[j] = s.base.Base(h[j].Item)
@@ -95,8 +89,6 @@ func (s *CountSketch) hashEntries(h []hist.Entry, lo, hi int) {
 
 // foldRows adds h, signed, into rows [lo, hi), one row at a time; the
 // caller is those rows' only writer.
-//
-//agglint:hotpath
 func (s *CountSketch) foldRows(h []hist.Entry, lo, hi int) {
 	g1, g2, sw := s.g1, s.g2, s.sw
 	for i := lo; i < hi; i++ {

@@ -63,8 +63,6 @@ func (r *RangeSketch) Update(item uint64, count int64) {
 // ProcessBatch ingests a minibatch into every level: one histogram of
 // the batch, then AddHistogram. The table hash is salted with level 0's
 // rolling seed, as when each level histogrammed for itself.
-//
-//agglint:hotpath
 func (r *RangeSketch) ProcessBatch(items []uint64) {
 	if len(items) == 0 {
 		return
@@ -78,8 +76,6 @@ func (r *RangeSketch) ProcessBatch(items []uint64) {
 // distinct item) into every level, level by level: level 0 takes h
 // sorted by item, and each level above takes the one below, halved. h is
 // only read.
-//
-//agglint:hotpath
 func (r *RangeSketch) AddHistogram(h []hist.Entry) {
 	cur, next := hist.SortByItem(h, r.roll[0], r.roll[1])
 	for l, s := range r.levels {

@@ -64,8 +64,6 @@ type kernel interface {
 }
 
 // grow resizes *buf to n, reallocating only when capacity grew.
-//
-//agglint:hotpath
 func grow(buf *[]uint64, n int) {
 	if cap(*buf) < n {
 		*buf = make([]uint64, n)
@@ -77,8 +75,6 @@ func grow(buf *[]uint64, n int) {
 // per entry (into reused scratch), then each row folded by a single
 // owner goroutine — the CRCW-combining single-writer property with zero
 // allocations in steady state. h is only read.
-//
-//agglint:hotpath
 func (t *table) addHistogram(h []hist.Entry, k kernel) {
 	p := len(h)
 	if p == 0 {

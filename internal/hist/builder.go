@@ -34,8 +34,6 @@ type Builder struct {
 // buffers; the returned slice is valid until the next call. The seed
 // salts the table hash per batch (any seed yields a correct histogram —
 // as in Build, hashing only affects performance).
-//
-//agglint:hotpath
 func (b *Builder) Build(items []uint64, seed int64) []Entry {
 	mu := len(items)
 	if mu == 0 {

@@ -21,8 +21,6 @@ const radixBits = 11
 // only read. a and b are the caller's reusable buffers, contents
 // ignored; the sorted histogram is returned in one of them (grown if
 // needed) together with the other, ready to be Halve's destination.
-//
-//agglint:hotpath
 func SortByItem(src, a, b []Entry) (sorted, spare []Entry) {
 	n := len(src)
 	if cap(a) < n {
@@ -73,8 +71,6 @@ func SortByItem(src, a, b []Entry) (sorted, spare []Entry) {
 // src: every item shifted right one bit, equal neighbours merged. The
 // result is again sorted by item. src is only read; dst must not alias
 // it.
-//
-//agglint:hotpath
 func Halve(dst, src []Entry) []Entry {
 	for _, e := range src {
 		x := e.Item >> 1

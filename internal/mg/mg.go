@@ -69,8 +69,6 @@ func (g *Summary) StreamLen() int64 { return g.m }
 
 // ProcessBatch ingests a minibatch of items (Theorem 5.2): one pass of
 // the resident histogram builder, then AddHistogram.
-//
-//agglint:hotpath
 func (g *Summary) ProcessBatch(items []uint64) {
 	if len(items) == 0 {
 		return
@@ -82,8 +80,6 @@ func (g *Summary) ProcessBatch(items []uint64) {
 // AddHistogram ingests a minibatch given as its histogram (one entry per
 // distinct item, positive frequencies): MGaugment, plus the stream
 // length the histogram accounts for. h is only read.
-//
-//agglint:hotpath
 func (g *Summary) AddHistogram(h []hist.Entry) {
 	g.AugmentHist(h)
 	for _, e := range h {
@@ -101,8 +97,6 @@ func (g *Summary) AddHistogram(h []hist.Entry) {
 // only when the tracked set changes, O(S) for the cutoff and the index.
 // ϕ and the kept counters are exactly those of the sort-based
 // hist.Combine formulation; only their order differs.
-//
-//agglint:hotpath
 func (g *Summary) AugmentHist(h []hist.Entry) {
 	tracked := len(g.entries)
 	for _, e := range h {
@@ -144,8 +138,6 @@ func (g *Summary) AugmentHist(h []hist.Entry) {
 func slotOf(item, mask uint64) uint64 { return hashfn.Mix64(item^0x6d67) & mask }
 
 // find returns the position of item's counter in entries, or -1.
-//
-//agglint:hotpath
 func (g *Summary) find(item uint64) int {
 	if len(g.slots) == 0 {
 		return -1
@@ -165,8 +157,6 @@ func (g *Summary) find(item uint64) int {
 // reindex rebuilds the index over entries: a power-of-two table at load
 // factor <= 1/4 (most batch lookups miss, and a miss probes to the first
 // empty slot), reallocated only when the summary outgrows it.
-//
-//agglint:hotpath
 func (g *Summary) reindex() {
 	if need := 4 * len(g.entries); len(g.slots) < need {
 		size := 16

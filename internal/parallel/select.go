@@ -52,8 +52,6 @@ func SelectKth(xs []int64, k int) int64 {
 // SelectKthSeq is SelectKth as an in-place sequential quickselect: no
 // forks and no allocation. SelectKth finishes with it on small ranges;
 // callers on an allocation-free path use it directly.
-//
-//agglint:hotpath
 func SelectKthSeq(xs []int64, k int) int64 {
 	if k < 0 || k >= len(xs) {
 		panic("parallel: SelectKthSeq rank out of range")

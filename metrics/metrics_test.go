@@ -160,9 +160,7 @@ func TestConcurrentRegistrationAndScrape(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 300; i++ {
-			//agglint:ignore metriclabel deliberately growing the registry to race it against scrapes
 			r.Counter("grow_total", "G.", "i", fmt.Sprint(i)).Inc()
-			//agglint:ignore metriclabel deliberately growing the registry to race it against scrapes
 			r.Histogram("grow_items", "G.", UnitItems, "i", fmt.Sprint(i)).Observe(uint64(i))
 		}
 	}()

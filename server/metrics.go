@@ -77,7 +77,6 @@ func newServerMetrics(reg *metrics.Registry, pipe *streamagg.Pipeline, start tim
 		}
 	}
 	reg.Gauge("app_build_info", "Build metadata; the value is always 1.",
-		//agglint:ignore metriclabel one value per process lifetime, read from the build info
 		"version", version, "goversion", goversion).Set(1)
 	reg.Gauge("process_start_time_seconds", "Unix time the process started.").
 		Set(start.Unix())
@@ -99,7 +98,7 @@ func newServerMetrics(reg *metrics.Registry, pipe *streamagg.Pipeline, start tim
 					return float64(a.StreamLen())
 				}
 				return 0
-			}, "aggregate", name) //agglint:ignore metriclabel aggregate names are fixed at startup by the -agg config, not request-derived
+			}, "aggregate", name)
 		reg.GaugeFunc("streamagg_aggregate_space_words",
 			"Memory footprint per aggregate in 64-bit words.",
 			func() float64 {
@@ -107,7 +106,7 @@ func newServerMetrics(reg *metrics.Registry, pipe *streamagg.Pipeline, start tim
 					return float64(a.SpaceWords())
 				}
 				return 0
-			}, "aggregate", name) //agglint:ignore metriclabel aggregate names are fixed at startup by the -agg config, not request-derived
+			}, "aggregate", name)
 		if _, ok := agg.(*streamagg.Sharded); ok {
 			cache := func(pick func(hits, misses int64) int64) func() int64 {
 				return func() int64 {
@@ -121,11 +120,9 @@ func newServerMetrics(reg *metrics.Registry, pipe *streamagg.Pipeline, start tim
 			}
 			reg.CounterFunc("streamagg_sharded_merge_cache_hits_total",
 				"Global-summary queries served from the cached merged view.",
-				//agglint:ignore metriclabel aggregate names are fixed at startup by the -agg config, not request-derived
 				cache(func(h, _ int64) int64 { return h }), "aggregate", name)
 			reg.CounterFunc("streamagg_sharded_merge_cache_misses_total",
 				"Global-summary queries that rebuilt the merged view.",
-				//agglint:ignore metriclabel aggregate names are fixed at startup by the -agg config, not request-derived
 				cache(func(_, m int64) int64 { return m }), "aggregate", name)
 		}
 	}

@@ -143,7 +143,6 @@ type partScratch struct {
 	buf     []uint64 // backing storage for every shard's sub-batch
 }
 
-//agglint:hotpath
 func growInts(buf *[]int, n int) []int {
 	if cap(*buf) < n {
 		*buf = make([]int, n)
@@ -156,8 +155,6 @@ func growInts(buf *[]int, n int) []int {
 // order within each shard (a stable counting-sort scatter: per-chunk
 // counts, prefix offsets, parallel scatter). The returned slices alias
 // the scratch and are valid until the next call.
-//
-//agglint:hotpath
 func (ps *partScratch) partition(items []uint64, shards int) [][]uint64 {
 	n := len(items)
 	if shards == 1 {
@@ -229,8 +226,6 @@ func (ps *partScratch) partition(items []uint64, shards int) [][]uint64 {
 }
 
 // grow returns buf resized to n, reallocating only when capacity grew.
-//
-//agglint:hotpath
 func grow(buf *[]uint64, n int) []uint64 {
 	if cap(*buf) < n {
 		*buf = make([]uint64, n)

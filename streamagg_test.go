@@ -103,7 +103,7 @@ func TestFreqEstimatorEndToEnd(t *testing.T) {
 	}
 	stream := workload.Zipf(3, 200000, 1.2, 1<<18)
 	exact := map[uint64]int64{}
-	for _, batch := range workload.Batches(stream, 8192) {
+	for _, batch := range workload.Batches(stream, 1024) {
 		f.ProcessBatch(batch)
 		for _, it := range batch {
 			exact[it]++
@@ -146,7 +146,7 @@ func TestSlidingFreqEstimatorAllVariants(t *testing.T) {
 		}
 		stream := workload.Zipf(int64(v)+10, 40000, 1.3, 1<<12)
 		var window []uint64
-		for _, batch := range workload.Batches(stream, 1000) {
+		for _, batch := range workload.Batches(stream, 1024) {
 			s.ProcessBatch(batch)
 			window = append(window, batch...)
 			if int64(len(window)) > n {
@@ -192,7 +192,7 @@ func TestCountMinEndToEnd(t *testing.T) {
 	}
 	stream := workload.Zipf(5, 100000, 1.1, 1<<16)
 	exact := map[uint64]int64{}
-	for _, batch := range workload.Batches(stream, 4096) {
+	for _, batch := range workload.Batches(stream, 1024) {
 		c.ProcessBatch(batch)
 		for _, it := range batch {
 			exact[it]++
@@ -270,34 +270,120 @@ func TestCountMinParamErrors(t *testing.T) {
 }
 
 func TestConcurrentQueriesDuringUpdates(t *testing.T) {
-	// Queries must be safe to run concurrently with batch updates through
-	// the reader-writer gate (run under -race in CI).
-	f, _ := NewFreqEstimator(0.01)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for q := 0; q < 4; q++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					_ = f.Estimate(12345)
-					_ = f.TopK(3)
+	// Every exported reader of every kind, MarshalBinary, and Merge into
+	// a second instance must be safe to run concurrently with batch
+	// updates and checkpoint restores through the reader-writer gate
+	// (run under -race in CI).
+	for _, tc := range []struct {
+		kind Kind
+		opts []Option
+		read func(a Aggregate)
+	}{
+		{KindFreq, []Option{WithEpsilon(0.01)}, func(a Aggregate) {
+			f := a.(*FreqEstimator)
+			_, _, _ = f.Estimate(0), f.TopK(3), f.HeavyHitters(0.1)
+		}},
+		{KindSlidingFreq, []Option{WithWindow(1 << 14), WithEpsilon(0.05)}, func(a Aggregate) {
+			s := a.(*SlidingFreqEstimator)
+			_, _, _ = s.Estimate(0), s.TopK(3), s.HeavyHitters(0.1)
+			_, _, _ = s.WindowSize(), s.Variant(), s.TrackedItems()
+		}},
+		{KindCountMin, []Option{WithEpsilon(0.01)}, func(a Aggregate) {
+			c := a.(*CountMin)
+			_, _, _ = c.Estimate(0), c.Query(1), c.TotalCount()
+			_, _ = c.Dims()
+		}},
+		{KindCountSketch, []Option{WithEpsilon(0.01)}, func(a Aggregate) {
+			c := a.(*CountSketch)
+			_, _, _ = c.Estimate(0), c.Query(1), c.TotalCount()
+			_, _ = c.Dims()
+		}},
+		{KindCountMinRange, []Option{WithUniverseBits(16), WithEpsilon(0.01)}, func(a Aggregate) {
+			c := a.(*CountMinRange)
+			_, _, _ = c.RangeCount(10, 1000), c.Quantile(0.5), c.TotalCount()
+		}},
+		{KindBasicCounter, []Option{WithWindow(1 << 14), WithEpsilon(0.05)}, func(a Aggregate) {
+			c := a.(*BasicCounter)
+			_, _, _ = c.Estimate(), c.WindowSize(), c.Epsilon()
+		}},
+		{KindWindowSum, []Option{WithWindow(1 << 14), WithMaxValue(1 << 16), WithEpsilon(0.05)}, func(a Aggregate) {
+			s := a.(*WindowSum)
+			_, _, _ = s.Estimate(), s.WindowSize(), s.MaxValue()
+		}},
+	} {
+		t.Run(string(tc.kind), func(t *testing.T) {
+			agg, err := New(tc.kind, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			into, err := New(tc.kind, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			merger, _ := into.(Merger)
+			// One reader loops over the accessors alone, so an ungated
+			// one spends much of its time outside the gate; the other
+			// checkpoints and merges.
+			var wg, ready sync.WaitGroup
+			stop := make(chan struct{})
+			defer func() { close(stop); wg.Wait() }()
+			for _, step := range []func() error{
+				func() error {
+					tc.read(agg)
+					_, _ = agg.SpaceWords(), agg.StreamLen()
+					return nil
+				},
+				func() error {
+					if _, err := agg.MarshalBinary(); err != nil || merger == nil {
+						return err
+					}
+					return merger.Merge(agg)
+				},
+			} {
+				wg.Add(1)
+				ready.Add(1)
+				go func() {
+					defer wg.Done()
+					ready.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						if err := step(); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			ready.Wait() // the readers run while the batches go in
+			var ckpt []byte
+			var want, ckptLen int64
+			stream := workload.Zipf(11, 100000, 1.2, 1<<16-1)
+			for i, batch := range workload.Batches(stream, 1024) {
+				if err := agg.ProcessBatch(batch); err != nil {
+					t.Fatal(err)
+				}
+				want += int64(len(batch))
+				switch i % 8 {
+				case 3:
+					if ckpt, err = agg.MarshalBinary(); err != nil {
+						t.Fatal(err)
+					}
+					ckptLen = want
+				case 7:
+					if err := agg.UnmarshalBinary(ckpt); err != nil {
+						t.Fatal(err)
+					}
+					want = ckptLen
 				}
 			}
-		}()
-	}
-	stream := workload.Zipf(11, 100000, 1.2, 1<<16)
-	for _, batch := range workload.Batches(stream, 4096) {
-		f.ProcessBatch(batch)
-	}
-	close(stop)
-	wg.Wait()
-	if f.StreamLen() != 100000 {
-		t.Fatalf("StreamLen %d", f.StreamLen())
+			if got := agg.StreamLen(); got != want {
+				t.Fatalf("StreamLen %d, want %d", got, want)
+			}
+		})
 	}
 }
 
