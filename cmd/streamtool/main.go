@@ -19,9 +19,9 @@
 //	    Streaming quantiles via the dyadic count-min structure.
 //
 //	streamtool inspect <data-dir>
-//	    Print a durability directory's manifest, snapshots, WAL
-//	    segments (record counts, sequence spans, CRC damage), and the
-//	    replay span a recovery would perform.
+//	    Print a durability directory's snapshots, WAL segments (record
+//	    counts, sequence spans, CRC damage), and the replay span a
+//	    recovery would perform.
 //
 //	streamtool push -to URL -node ID [-every 5s] [-mode full|delta]
 //	                [-agg "spec1;spec2"] [-batch 8192] < tokens
@@ -82,7 +82,7 @@ subcommands:
   sum        sliding-window sum of non-negative stdin integers
   quantiles  streaming quantiles over stdin integers
   push       ingest stdin tokens and push summaries to a federation root
-  inspect    print a durability data directory's manifest, segments, and replay span
+  inspect    print a durability data directory's snapshots, segments, and replay span
 `)
 	os.Exit(2)
 }
@@ -220,9 +220,8 @@ func runPush(args []string) {
 		total, url, pushes, node, mode)
 }
 
-// runInspect prints what recovery would see in a data directory: the
-// manifest, every snapshot and segment with validity, and the replay
-// span. It takes no lock, so it works on a live server's directory.
+// runInspect prints what recovery would see in a data directory: every
+// snapshot and segment with validity, and the replay span. It takes no lock, so it works on a live server's directory.
 func runInspect(args []string) {
 	if len(args) != 1 || strings.HasPrefix(args[0], "-") {
 		fmt.Fprintln(os.Stderr, "usage: streamtool inspect <data-dir>")
@@ -233,16 +232,6 @@ func runInspect(args []string) {
 		fail(err)
 	}
 	fmt.Printf("data directory %s\n", r.Dir)
-	switch {
-	case !r.ManifestPresent:
-		fmt.Println("manifest: missing (recovery falls back to newest valid snapshot)")
-	case !r.ManifestValid:
-		fmt.Printf("manifest: CORRUPT: %s\n", r.ManifestProblem)
-	case r.ManifestSnapshot == "":
-		fmt.Println("manifest: valid, no snapshot yet")
-	default:
-		fmt.Printf("manifest: valid -> %s (covers WAL seq %d)\n", r.ManifestSnapshot, r.ManifestSeq)
-	}
 	if len(r.Snapshots) == 0 {
 		fmt.Println("snapshots: none")
 	}

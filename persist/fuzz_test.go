@@ -57,39 +57,6 @@ func FuzzSegmentScan(f *testing.F) {
 	})
 }
 
-func FuzzManifestDecode(f *testing.F) {
-	good, err := encodeManifest(manifest{Snapshot: snapshotName(7), Seq: 7})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(good)
-	f.Add(good[:len(good)/2])
-	f.Add([]byte{})
-	f.Add([]byte("AGGMAN01 but not really"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 1<<20 {
-			t.Skip()
-		}
-		m, err := decodeManifest(data)
-		if err != nil {
-			return
-		}
-		// Anything accepted must round-trip and carry a safe name.
-		if m.Snapshot != "" {
-			if seq, ok := parseSnapshotName(m.Snapshot); !ok || seq != m.Seq {
-				t.Fatalf("accepted manifest with mismatched name %q / seq %d", m.Snapshot, m.Seq)
-			}
-		}
-		re, err := encodeManifest(m)
-		if err != nil {
-			t.Fatalf("re-encoding accepted manifest: %v", err)
-		}
-		if _, err := decodeManifest(re); err != nil {
-			t.Fatalf("re-decoding accepted manifest: %v", err)
-		}
-	})
-}
-
 func FuzzSnapshotDecode(f *testing.F) {
 	good := encodeSnapshot(42, []byte("envelope bytes"))
 	f.Add(good)

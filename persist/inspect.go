@@ -1,10 +1,10 @@
 package persist
 
 // Read-only introspection of a data directory, behind `streamtool
-// inspect <dir>`: the manifest, every snapshot, every segment's record
-// count and sequence span, the replay span a recovery would perform, and
-// any CRC damage — without taking the directory lock, so it works on a
-// live server's directory.
+// inspect <dir>`: every snapshot, every segment's record count and
+// sequence span, the replay span a recovery would perform, and any CRC
+// damage — without taking the directory lock, so it works on a live
+// server's directory.
 
 import (
 	"fmt"
@@ -36,18 +36,13 @@ type SnapshotReport struct {
 
 // Report is everything Inspect learns about a data directory.
 type Report struct {
-	Dir              string           `json:"dir"`
-	ManifestPresent  bool             `json:"manifest_present"`
-	ManifestValid    bool             `json:"manifest_valid"`
-	ManifestProblem  string           `json:"manifest_problem,omitempty"`
-	ManifestSnapshot string           `json:"manifest_snapshot,omitempty"`
-	ManifestSeq      uint64           `json:"manifest_seq"`
-	Snapshots        []SnapshotReport `json:"snapshots"`
-	Segments         []SegmentReport  `json:"segments"`
-	RecoverySeq      uint64           `json:"recovery_snapshot_seq"` // snapshot recovery would load
-	ReplayFrom       uint64           `json:"replay_from"`           // first record replay would apply
-	ReplayTo         uint64           `json:"replay_to"`             // last record replay would apply (0 = none)
-	ReplayRecords    int64            `json:"replay_records"`
+	Dir           string           `json:"dir"`
+	Snapshots     []SnapshotReport `json:"snapshots"`
+	Segments      []SegmentReport  `json:"segments"`
+	RecoverySeq   uint64           `json:"recovery_snapshot_seq"` // newest valid snapshot, which recovery loads
+	ReplayFrom    uint64           `json:"replay_from"`           // first record replay would apply
+	ReplayTo      uint64           `json:"replay_to"`             // last record replay would apply (0 = none)
+	ReplayRecords int64            `json:"replay_records"`
 }
 
 // Inspect scans dir without modifying it and reports what recovery would
@@ -58,17 +53,6 @@ func Inspect(dir string) (*Report, error) {
 		return nil, err
 	}
 	r := &Report{Dir: dir}
-
-	m, present, merr := readManifest(dir)
-	r.ManifestPresent = present
-	switch {
-	case merr != nil:
-		r.ManifestProblem = merr.Error()
-	case present:
-		r.ManifestValid = true
-		r.ManifestSnapshot = m.Snapshot
-		r.ManifestSeq = m.Seq
-	}
 
 	var segNames, snapNames []string
 	for _, e := range entries {
@@ -85,8 +69,6 @@ func Inspect(dir string) (*Report, error) {
 	}
 
 	sort.Strings(snapNames)
-	var newestValid uint64
-	manifestTargetValid := false
 	for _, name := range snapNames {
 		sr := SnapshotReport{Name: name}
 		if fi, err := os.Stat(filepath.Join(dir, name)); err == nil {
@@ -97,21 +79,9 @@ func Inspect(dir string) (*Report, error) {
 			sr.Problem = err.Error()
 		} else {
 			sr.Seq, sr.Valid = seq, true
-			if seq > newestValid {
-				newestValid = seq
-			}
-			if r.ManifestValid && name == r.ManifestSnapshot {
-				manifestTargetValid = true
-			}
+			r.RecoverySeq = max(r.RecoverySeq, seq)
 		}
 		r.Snapshots = append(r.Snapshots, sr)
-	}
-	// Mirror Open's choice: the manifest's snapshot when it checks out,
-	// else the newest file that does.
-	if manifestTargetValid {
-		r.RecoverySeq = r.ManifestSeq
-	} else {
-		r.RecoverySeq = newestValid
 	}
 
 	type seg struct {

@@ -2,8 +2,8 @@
 
 package persist
 
-// Platforms without flock get no single-writer guard; the manifest and
-// segment protocol still detect (rather than silently absorb) most
+// Platforms without flock get no single-writer guard; the snapshot and
+// segment framing still detect (rather than silently absorb) most
 // interleaved-writer damage.
 
 func lockDir(string) (func(), error) {

@@ -1,7 +1,8 @@
 // Package persist is the durability subsystem behind the serving layer:
 // a segmented, CRC-framed write-ahead log of ingest minibatches plus an
-// atomic snapshot store, tied together by a manifest that records the
-// latest valid snapshot and the WAL position it covers.
+// atomic snapshot store. Each snapshot is named by the WAL position it
+// covers, so recovery loads the newest CRC-valid snapshot and replays the
+// WAL after it.
 //
 // The design follows the discretized-stream fault-tolerance model the
 // library's checkpointing already implements [ZDL+13]: state is captured
@@ -15,7 +16,6 @@
 //
 // On disk a data directory holds:
 //
-//	MANIFEST                 latest valid snapshot name + WAL seq (atomic)
 //	snap-<seq>.snap          checkpoint envelope covering WAL records <= seq
 //	wal-<seq>.log            segment whose first record has sequence <seq>
 //	LOCK                     advisory flock guarding single-writer access

@@ -5,8 +5,7 @@ package persist
 // verbatim as the payload — framed with the WAL sequence it covers and a
 // CRC. Snapshots are written atomically (tmp + fsync + rename +
 // directory fsync) and named by their sequence, so the directory listing
-// alone orders them and recovery can fall back to the newest valid file
-// when the manifest is damaged.
+// alone orders them: recovery loads the newest file that validates.
 
 import (
 	"encoding/binary"
@@ -108,4 +107,41 @@ func writeSnapshotFile(dir string, seq uint64, payload []byte) (string, error) {
 		return "", err
 	}
 	return name, nil
+}
+
+// writeFileAtomic writes data to path via a tmp file, fsync, rename, and
+// directory fsync, so the path either holds the old content or the new.
+func writeFileAtomic(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	return syncDir(dir)
+}
+
+// syncDir fsyncs a directory so renames and creates within it are
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }

@@ -1,19 +1,18 @@
 package persist
 
-// Store ties the WAL, the snapshot store, and the manifest together
-// behind a single-writer API:
+// Store ties the WAL and the snapshot store together behind a
+// single-writer API:
 //
 //	st, _ := persist.Open(dir, persist.Options{...})
 //	if snap, ok := st.RecoveredSnapshot(); ok { restore sink from snap }
 //	st.Replay(func(items []uint64) error { return sink.ProcessBatch(items) })
 //	... st.Append(batch) before every applied minibatch ...
 //
-// Open validates the whole directory: the manifest (falling back to the
-// newest valid snapshot file when the manifest is damaged), every sealed
-// segment (a CRC failure there is ErrCorrupt), and the final segment,
-// whose torn tail — the signature of a crash mid-append — is truncated
-// away. Append then continues the sequence exactly where the valid
-// prefix ended.
+// Open validates the whole directory: the newest snapshot file that
+// checks out, every sealed segment (a CRC failure there is ErrCorrupt),
+// and the final segment, whose torn tail — the signature of a crash
+// mid-append — is truncated away. Append then continues the sequence
+// exactly where the valid prefix ended.
 
 import (
 	"fmt"
@@ -189,7 +188,7 @@ func (s *Store) initMetrics(reg *metrics.Registry) {
 	s.snapshotFailures = reg.Counter("streamagg_snapshot_failures_total",
 		"Snapshot captures or installs that failed.")
 	s.snapshotSeconds = reg.Histogram("streamagg_snapshot_write_seconds",
-		"Snapshot install latency (write + manifest + reclamation).", metrics.UnitSeconds)
+		"Snapshot install latency (write + reclamation).", metrics.UnitSeconds)
 	s.snapshotBytes = reg.Gauge("streamagg_snapshot_bytes",
 		"Size of the most recently installed snapshot payload.")
 	s.replayedRecords = reg.Counter("streamagg_recovery_replayed_records_total",
@@ -230,8 +229,8 @@ func (s *Store) initMetrics(reg *metrics.Registry) {
 		})
 }
 
-// load scans the directory: stale temp files, snapshot + manifest, then
-// the segment chain.
+// load scans the directory: stale temp files, the snapshot, then the
+// segment chain.
 func (s *Store) load() error {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -241,8 +240,9 @@ func (s *Store) load() error {
 	for _, e := range entries {
 		name := e.Name()
 		switch {
-		case strings.Contains(name, ".tmp-"):
-			// Leftover from an interrupted atomic write; never valid.
+		case strings.Contains(name, ".tmp-"), name == "MANIFEST":
+			// Leftover from an interrupted atomic write, or the root
+			// file of older versions, which recovery no longer reads.
 			_ = os.Remove(filepath.Join(s.dir, name))
 		case strings.HasPrefix(name, walPrefix):
 			segNames = append(segNames, name)
@@ -250,13 +250,10 @@ func (s *Store) load() error {
 			snapNames = append(snapNames, name)
 		}
 	}
-	if err := s.loadSnapshot(snapNames); err != nil {
-		return err
-	}
+	s.loadSnapshot(snapNames)
 	// Remove snapshots recovery did not select: older files leaked by a
-	// crash between manifest update and removal, and unreferenced newer
-	// ones from a crash mid-installation. Left in place they accumulate
-	// and widen the damaged-manifest fallback beyond the real state.
+	// crash between installing a newer one and removing them, and damaged
+	// ones. Left in place they would accumulate.
 	for _, name := range snapNames {
 		if name != s.snapName {
 			_ = os.Remove(filepath.Join(s.dir, name))
@@ -294,17 +291,12 @@ func (s *Store) nextActiveSeq() uint64 {
 	return s.actInfo.firstSeq
 }
 
-// loadSnapshot picks the recovery snapshot: the manifest's if it is valid
-// and its file checks out, else the newest valid snapshot file.
-func (s *Store) loadSnapshot(snapNames []string) error {
-	if m, present, err := readManifest(s.dir); err == nil && present && m.Snapshot != "" {
-		if seq, payload, err := readSnapshot(s.dir, m.Snapshot); err == nil {
-			s.installSnapshot(m.Snapshot, seq, payload)
-			return nil
-		}
-	}
-	// Manifest missing, damaged, or pointing at a damaged file: fall
-	// back to the newest snapshot that validates.
+// loadSnapshot picks the recovery snapshot: the newest file that
+// validates. A snapshot is installed atomically, named by the WAL
+// sequence it covers, and durable before anything it supersedes is
+// removed, so the newest valid file plus the WAL after it is the latest
+// state.
+func (s *Store) loadSnapshot(snapNames []string) {
 	sort.Sort(sort.Reverse(sort.StringSlice(snapNames)))
 	for _, name := range snapNames {
 		if _, ok := parseSnapshotName(name); !ok {
@@ -312,10 +304,9 @@ func (s *Store) loadSnapshot(snapNames []string) error {
 		}
 		if seq, payload, err := readSnapshot(s.dir, name); err == nil {
 			s.installSnapshot(name, seq, payload)
-			return nil
+			return
 		}
 	}
-	return nil
 }
 
 func (s *Store) installSnapshot(name string, seq uint64, payload []byte) {
@@ -386,9 +377,13 @@ func (s *Store) loadSegments(segNames []string) error {
 		if !final && lastSeq == 0 {
 			return fmt.Errorf("%w: empty sealed segment %s", ErrCorrupt, sg.name)
 		}
+		// A break in the chain loses or repeats the records between the
+		// two segments. It is harmless when the snapshot covers all of
+		// them: a removal of covered segments failed or was persisted out
+		// of order.
 		if len(infos) > 0 {
 			prev := infos[len(infos)-1]
-			if sg.firstSeq != prev.lastSeq+1 {
+			if sg.firstSeq != prev.lastSeq+1 && max(sg.firstSeq-1, prev.lastSeq) > s.snapSeq {
 				return fmt.Errorf("%w: segment %s breaks sequence (previous ends at %d)", ErrCorrupt, sg.name, prev.lastSeq)
 			}
 		}
@@ -685,11 +680,11 @@ func (s *Store) NoteSnapshotFailure(err error) {
 
 // WriteSnapshot atomically installs payload (a checkpoint envelope
 // capturing the sink's state at a quiesced minibatch boundary) as the
-// snapshot covering every WAL record up to and including seq, updates the
-// manifest, and deletes the snapshot files and sealed segments the new
-// snapshot supersedes. Callers obtain (payload, seq) while the ingest
-// path is quiesced — e.g. Ingestor.DurableCheckpoint — so the pair is
-// consistent by construction.
+// snapshot covering every WAL record up to and including seq, then
+// deletes the snapshot file and sealed segments it supersedes. Callers
+// obtain (payload, seq) while the ingest path is quiesced — e.g.
+// Ingestor.DurableCheckpoint — so the pair is consistent by
+// construction.
 func (s *Store) WriteSnapshot(payload []byte, seq uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -707,12 +702,12 @@ func (s *Store) writeSnapshotLocked(payload []byte, seq uint64) error {
 		return fmt.Errorf("persist: snapshot seq %d beyond WAL position %d", seq, s.lastSeq)
 	}
 	start := time.Now()
+	// The new file and its directory entry are durable before anything it
+	// supersedes is removed; recovery trusts the newest valid snapshot,
+	// so this order is what makes every crash point safe.
 	name, err := writeSnapshotFile(s.dir, seq, payload)
 	if err != nil {
 		return fmt.Errorf("persist: writing snapshot: %w", err)
-	}
-	if err := writeManifest(s.dir, manifest{Snapshot: name, Seq: seq}); err != nil {
-		return fmt.Errorf("persist: writing manifest: %w", err)
 	}
 	prevName := s.snapName
 	s.snapName, s.snapSeq = name, seq

@@ -1,7 +1,9 @@
 package persist
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -211,26 +213,55 @@ func TestCorruptSealedSegmentRejected(t *testing.T) {
 	}
 }
 
-func TestManifestFallback(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir, Options{Fsync: FsyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Append([]uint64{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.WriteSnapshot([]byte("good"), 1); err != nil {
-		t.Fatal(err)
-	}
-	st.Close()
+// TestManifestUpgrade: a directory written by older versions holds a
+// MANIFEST naming the snapshot they trusted. Caught between installing
+// snap-4 and rewriting the MANIFEST, it still names snap-2. Open ignores
+// the file, valid or damaged, recovers from the newest valid snapshot,
+// and removes the file and the older snapshot.
+func TestManifestUpgrade(t *testing.T) {
+	// The older format: magic, u32 length, u32 CRC-32C, JSON.
+	payload := []byte(`{"snapshot":"` + snapshotName(2) + `","seq":2}`)
+	legacy := binary.LittleEndian.AppendUint32([]byte("AGGMAN01"), uint32(len(payload)))
+	legacy = binary.LittleEndian.AppendUint32(legacy, crc32.Checksum(payload, crcTable))
+	legacy = append(legacy, payload...)
+	batch := func(i int) []uint64 { return []uint64{uint64(i), 9} }
+	for name, manifest := range map[string][]byte{"valid": legacy, "damaged": []byte("scribble")} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := Open(dir, Options{Fsync: FsyncNever})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := appendBatches(t, st, nil, 1, 4, batch)
+			if err := st.WriteSnapshot(historyPayload(t, h[:2]), 2); err != nil {
+				t.Fatal(err)
+			}
+			h = appendBatches(t, st, h, 5, 6, batch)
+			st.Close()
+			if _, err := writeSnapshotFile(dir, 4, historyPayload(t, h[:4])); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), manifest, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("scribble"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	snap, _ := collect(t, dir, Options{})
-	if string(snap) != "good" {
-		t.Fatalf("fallback recovery got snapshot %q", snap)
+			snap, batches := collect(t, dir, Options{})
+			if string(snap) != string(historyPayload(t, h[:4])) || !reflect.DeepEqual(batches, h[4:]) {
+				t.Fatalf("recovered snapshot %s + %v, want snap-4 + %v", snap, batches, h[4:])
+			}
+			for _, gone := range []string{"MANIFEST", snapshotName(2)} {
+				if _, err := os.Stat(filepath.Join(dir, gone)); !os.IsNotExist(err) {
+					t.Fatalf("%s left behind: %v", gone, err)
+				}
+			}
+			r, err := Inspect(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.RecoverySeq != 4 {
+				t.Fatalf("inspect recovery seq %d, want 4", r.RecoverySeq)
+			}
+		})
 	}
 }
 
@@ -255,17 +286,14 @@ func TestLostSnapshotGapRejected(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, snapshotName(3))); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, manifestName)); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Open with snapshot lost after truncation: %v, want ErrCorrupt", err)
 	}
 }
 
 // TestStaleSnapshotCleanup: snapshot files recovery does not select —
-// leaked by a crash between manifest update and removal — are deleted
-// on the next Open instead of accumulating.
+// leaked by a crash between installing a newer snapshot and removing
+// the older one — are deleted on the next Open instead of accumulating.
 func TestStaleSnapshotCleanup(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Options{Fsync: FsyncNever})
@@ -281,14 +309,14 @@ func TestStaleSnapshotCleanup(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Close()
-	// A leaked older snapshot the manifest no longer references.
+	// A leaked older snapshot.
 	if _, err := writeSnapshotFile(dir, 2, []byte("leaked")); err != nil {
 		t.Fatal(err)
 	}
 
 	snap, _ := collect(t, dir, Options{})
 	if string(snap) != "current" {
-		t.Fatalf("recovered snapshot %q, want the manifest's", snap)
+		t.Fatalf("recovered snapshot %q, want the newest", snap)
 	}
 	if _, err := os.Stat(filepath.Join(dir, snapshotName(2))); !os.IsNotExist(err) {
 		t.Fatalf("leaked snapshot not cleaned up: %v", err)
@@ -393,8 +421,8 @@ func TestInspect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.ManifestValid || r.ManifestSeq != 3 || r.RecoverySeq != 3 {
-		t.Fatalf("inspect manifest: %+v", r)
+	if len(r.Snapshots) != 1 || !r.Snapshots[0].Valid || r.RecoverySeq != 3 {
+		t.Fatalf("inspect snapshots: %+v", r)
 	}
 	if r.ReplayFrom != 4 || r.ReplayTo != 5 || r.ReplayRecords != 2 {
 		t.Fatalf("inspect replay span: %+v", r)
