@@ -1,7 +1,9 @@
-// Go benchmarks of the theorem experiments, one family per experiment id
-// E1–E10 of cmd/aggbench, plus the pipeline-vs-standalone trio. Run:
+// Go benchmarks behind the work and depth rows of THEOREMS.md, one
+// family per experiment id (E8, the error experiment, is the TestOracle*
+// suite), plus the pipeline-vs-standalone trio. They are measured, not
+// asserted. Run:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench=. -benchmem
 package streamagg
 
 import (
@@ -209,8 +211,9 @@ func BenchmarkE7WorkLinearity(b *testing.B) {
 	}
 }
 
-// BenchmarkE9Scaling sweeps the worker count for each engine: the
-// polylog-depth claim shows up as improving throughput with p.
+// BenchmarkE9Scaling sweeps the worker count for each engine, the
+// measured side of the polylog-depth claims. Throughput can grow with p
+// only up to the host's core count.
 func BenchmarkE9Scaling(b *testing.B) {
 	bs := workload.Batches(workload.Zipf(9, 1<<20, 1.1, 1<<18), 1<<17)
 	engines := map[string]func() func([]uint64){

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/workload"
@@ -146,6 +147,11 @@ func TestCheckpointForgedDims(t *testing.T) {
 // no object per cell or per row width (the same count at ε = 1e-3 and
 // ε = 1e-4), and CheckpointKind allocates at most once.
 func TestCheckpointRestoreAllocs(t *testing.T) {
+	// A GC cycle under the race detector's runtime mallocs objects of its
+	// own, and AllocsPerRun counts them; the ε = 1e-4 loop restores 1 MiB
+	// per run, enough to start one. GC stays off so the pins count only
+	// the restore.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	restoreAllocs := func(eps float64) float64 {
 		p := NewPipeline()
 		if _, err := p.Add("sketch", KindCountMin, WithEpsilon(eps), WithSeed(7)); err != nil {

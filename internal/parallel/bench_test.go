@@ -84,17 +84,3 @@ func BenchmarkSelectKth(b *testing.B) {
 		_ = SelectKth(xs, n/2)
 	}
 }
-
-func BenchmarkMerge(b *testing.B) {
-	n := 1 << 18
-	a := make([]int64, n)
-	c := make([]int64, n)
-	for i := range a {
-		a[i] = int64(2 * i)
-		c[i] = int64(2*i + 1)
-	}
-	b.SetBytes(int64(2*n) * 8)
-	for i := 0; i < b.N; i++ {
-		_ = Merge(a, c)
-	}
-}

@@ -49,19 +49,3 @@ func Map[T any](n int, f func(i int) T) []T {
 	})
 	return out
 }
-
-// Copy copies src into a freshly allocated slice in parallel.
-func Copy[T any](src []T) []T {
-	dst := make([]T, len(src))
-	Blocks(len(src), DefaultGrain, func(lo, hi int) {
-		copy(dst[lo:hi], src[lo:hi])
-	})
-	return dst
-}
-
-// Fill sets every element of xs to v in parallel.
-func Fill[T any](xs []T, v T) {
-	ForGrain(len(xs), DefaultGrain, func(i int) {
-		xs[i] = v
-	})
-}

@@ -110,11 +110,6 @@ func chunked(n, chunks int, f func(c, lo, hi int)) {
 	wg.Wait()
 }
 
-// For runs f(i) for every i in [0, n) in parallel with a default grain.
-func For(n int, f func(i int)) {
-	ForGrain(n, DefaultGrain, f)
-}
-
 // ForGrain runs f(i) for every i in [0, n) in parallel, forking only when
 // chunks of at least grain iterations are available.
 func ForGrain(n, grain int, f func(i int)) {

@@ -29,65 +29,6 @@ func Reduce[T any](n, grain int, id T, combine func(a, b T) T, leaf func(lo, hi 
 	return out
 }
 
-// Sum returns the sum of xs using parallel reduction.
-func Sum[T Number](xs []T) T {
-	return Reduce(len(xs), DefaultGrain, T(0),
-		func(a, b T) T { return a + b },
-		func(lo, hi int) T {
-			var s T
-			for _, v := range xs[lo:hi] {
-				s += v
-			}
-			return s
-		})
-}
-
-// Max returns the maximum of xs, or def when xs is empty.
-func Max[T Number](xs []T, def T) T {
-	if len(xs) == 0 {
-		return def
-	}
-	return Reduce(len(xs), DefaultGrain, xs[0],
-		func(a, b T) T {
-			if a > b {
-				return a
-			}
-			return b
-		},
-		func(lo, hi int) T {
-			m := xs[lo]
-			for _, v := range xs[lo+1 : hi] {
-				if v > m {
-					m = v
-				}
-			}
-			return m
-		})
-}
-
-// Min returns the minimum of xs, or def when xs is empty.
-func Min[T Number](xs []T, def T) T {
-	if len(xs) == 0 {
-		return def
-	}
-	return Reduce(len(xs), DefaultGrain, xs[0],
-		func(a, b T) T {
-			if a < b {
-				return a
-			}
-			return b
-		},
-		func(lo, hi int) T {
-			m := xs[lo]
-			for _, v := range xs[lo+1 : hi] {
-				if v < m {
-					m = v
-				}
-			}
-			return m
-		})
-}
-
 // Count returns the number of indices i in [0, n) for which pred(i) holds.
 func Count(n int, pred func(i int) bool) int {
 	return Reduce(n, DefaultGrain, 0,

@@ -45,46 +45,3 @@ func ScanExclusive[T Number](xs []T) T {
 	})
 	return total
 }
-
-// ScanInclusive replaces xs with its inclusive prefix sum and returns the
-// total (equal to the last element on return when xs is non-empty).
-func ScanInclusive[T Number](xs []T) T {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	chunks := splitCount(n, DefaultGrain)
-	if chunks == 1 {
-		var run T
-		for i := 0; i < n; i++ {
-			run += xs[i]
-			xs[i] = run
-		}
-		return run
-	}
-	sums := make([]T, chunks)
-	chunked(n, chunks, func(c, lo, hi int) {
-		var run T
-		for i := lo; i < hi; i++ {
-			run += xs[i]
-			xs[i] = run
-		}
-		sums[c] = run
-	})
-	var total T
-	for c := 0; c < chunks; c++ {
-		s := sums[c]
-		sums[c] = total
-		total += s
-	}
-	chunked(n, chunks, func(c, lo, hi int) {
-		off := sums[c]
-		if off == 0 {
-			return
-		}
-		for i := lo; i < hi; i++ {
-			xs[i] += off
-		}
-	})
-	return total
-}

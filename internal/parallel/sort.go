@@ -100,17 +100,3 @@ func RadixSortPairs(keys []uint32, vals []int32, keyRange uint32) {
 		copy(vals, srcV)
 	}
 }
-
-// SortIndicesByKey returns a permutation idx of [0, n) such that
-// key(idx[0]) <= key(idx[1]) <= ... with ties broken by original position
-// (stable). Keys must be < keyRange.
-func SortIndicesByKey(n int, keyRange uint32, key func(i int) uint32) []int32 {
-	keys := make([]uint32, n)
-	vals := make([]int32, n)
-	ForGrain(n, DefaultGrain, func(i int) {
-		keys[i] = key(i)
-		vals[i] = int32(i)
-	})
-	RadixSortPairs(keys, vals, keyRange)
-	return vals
-}

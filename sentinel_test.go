@@ -32,23 +32,7 @@ func TestSentinelErrorsMatchedWithIs(t *testing.T) {
 	fset := token.NewFileSet()
 	report := func(n ast.Node, msg string) { t.Errorf("%s: %s", fset.Position(n.Pos()), msg) }
 	files := 0
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (d.Name() == "testdata" || d.Name() == "bench" || d.Name()[0] == '.') {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if filepath.Ext(path) != ".go" {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
+	walkGoFiles(t, fset, func(_ string, f *ast.File) {
 		files++
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -73,11 +57,7 @@ func TestSentinelErrorsMatchedWithIs(t *testing.T) {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if files == 0 {
 		t.Fatal("walked no .go files")
 	}
@@ -110,6 +90,35 @@ func errorfVerbs(call *ast.CallExpr) []byte {
 		verbs = verbs[:n]
 	}
 	return verbs
+}
+
+// walkGoFiles parses every .go file of the module, tests included and
+// testdata and the bench module excluded, and hands each to visit.
+func walkGoFiles(t *testing.T, fset *token.FileSet, visit func(path string, f *ast.File)) {
+	t.Helper()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (d.Name() == "testdata" || d.Name() == "bench" || d.Name()[0] == '.') {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if filepath.Ext(path) != ".go" {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		visit(path, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // isSentinel reports whether e is an identifier or selector named like
