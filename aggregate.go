@@ -18,8 +18,8 @@ const (
 	// KindFreq — infinite-window frequency estimation with the parallel
 	// Misra-Gries summary (Theorem 5.2).
 	KindFreq Kind = "freq-estimator"
-	// KindSlidingFreq — sliding-window frequency estimation
-	// (Theorems 5.4/5.5/5.8, selected by WithVariant).
+	// KindSlidingFreq — sliding-window frequency estimation with the
+	// work-efficient algorithm (Theorem 5.4).
 	KindSlidingFreq Kind = "sliding-freq-estimator"
 	// KindCountMin — the parallel count-min sketch (Theorem 6.1).
 	KindCountMin Kind = "count-min"

@@ -143,21 +143,19 @@ func BenchmarkE4InfiniteMG(b *testing.B) {
 	})
 }
 
-// BenchmarkE5SlidingVariants is the ablation across the three
-// sliding-window algorithms (Theorems 5.5, 5.8, 5.4).
-func BenchmarkE5SlidingVariants(b *testing.B) {
+// BenchmarkE5SlidingFreq sets the work-efficient sliding-window
+// algorithm (Theorem 5.4) against sequential Lee–Ting.
+func BenchmarkE5SlidingFreq(b *testing.B) {
 	bs := benchStream(5, 1<<20)
-	for _, v := range []swfreq.Variant{swfreq.Basic, swfreq.SpaceEfficient, swfreq.WorkEfficient} {
-		b.Run(v.String(), func(b *testing.B) {
-			e := swfreq.New(1<<20, 1.0/128, v)
-			b.SetBytes(benchBatch * 8)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.ProcessBatch(bs[i%len(bs)])
-			}
-			b.ReportMetric(float64(e.SpaceWords()), "space-words")
-		})
-	}
+	b.Run("work-efficient", func(b *testing.B) {
+		e := swfreq.New(1<<20, 1.0/128)
+		b.SetBytes(benchBatch * 8)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.ProcessBatch(bs[i%len(bs)])
+		}
+		b.ReportMetric(float64(e.SpaceWords()), "space-words")
+	})
 	b.Run("seq-lee-ting", func(b *testing.B) {
 		g := baseline.NewLTSliding(1<<20, 1.0/128)
 		b.SetBytes(benchBatch * 8)
@@ -201,7 +199,7 @@ func BenchmarkE7WorkLinearity(b *testing.B) {
 	bs := benchStream(7, 1<<20)
 	for _, n := range []int64{1 << 16, 1 << 20, 1 << 24} {
 		b.Run(fmt.Sprintf("window%d", n), func(b *testing.B) {
-			e := swfreq.New(n, 1.0/128, swfreq.WorkEfficient)
+			e := swfreq.New(n, 1.0/128)
 			b.SetBytes(benchBatch * 8)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -218,7 +216,7 @@ func BenchmarkE9Scaling(b *testing.B) {
 	bs := workload.Batches(workload.Zipf(9, 1<<20, 1.1, 1<<18), 1<<17)
 	engines := map[string]func() func([]uint64){
 		"mg":  func() func([]uint64) { g := mg.New(1e-3); return g.ProcessBatch },
-		"sw":  func() func([]uint64) { e := swfreq.New(1<<20, 1.0/128, swfreq.WorkEfficient); return e.ProcessBatch },
+		"sw":  func() func([]uint64) { e := swfreq.New(1<<20, 1.0/128); return e.ProcessBatch },
 		"cms": func() func([]uint64) { s := cms.New(1e-4, 1e-3, 3); return s.ProcessBatch },
 	}
 	for name, mk := range engines {

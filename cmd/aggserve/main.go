@@ -31,7 +31,11 @@
 // root's POST /v1/merge endpoint (a bare host:port grows the scheme and
 // path). -node-id must be stable and unique per edge — the root dedups
 // replayed pushes by (node, epoch, seq). Every server is a merge target
-// at /v1/merge, so multi-level trees need no extra flags at the root.
+// at /v1/merge, so any server can be an interior node of a deeper tree.
+// In full mode, the default, an interior node pushes upward only its own
+// pipeline, which holds what its own clients sent and none of its
+// children's contributions. In delta mode a child's push merges into
+// that pipeline, so it is forwarded.
 //
 // Aggregate specs use the same options as the library constructors:
 //

@@ -308,8 +308,7 @@ func runHH(args []string) {
 	if window > 0 {
 		a, err := streamagg.New(streamagg.KindSlidingFreq,
 			streamagg.WithWindow(window),
-			streamagg.WithEpsilon(eps),
-			streamagg.WithVariant(streamagg.VariantWorkEfficient))
+			streamagg.WithEpsilon(eps))
 		if err != nil {
 			fail(err)
 		}

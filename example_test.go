@@ -24,7 +24,7 @@ func ExampleNewFreqEstimator() {
 
 // Sliding-window estimation forgets items that slide out of the window.
 func ExampleNewSlidingFreqEstimator() {
-	est, err := streamagg.NewSlidingFreqEstimator(4, 0.25, streamagg.VariantWorkEfficient)
+	est, err := streamagg.NewSlidingFreqEstimator(4, 0.25)
 	if err != nil {
 		panic(err)
 	}

@@ -24,8 +24,7 @@ const (
 func main() {
 	a, err := streamagg.New(streamagg.KindSlidingFreq,
 		streamagg.WithWindow(windowPkts),
-		streamagg.WithEpsilon(epsilon),
-		streamagg.WithVariant(streamagg.VariantWorkEfficient))
+		streamagg.WithEpsilon(epsilon))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -35,8 +35,7 @@ func main() {
 	// Sliding-window frequency estimation (the work-efficient algorithm).
 	mustAdd("recent", streamagg.KindSlidingFreq,
 		streamagg.WithWindow(window),
-		streamagg.WithEpsilon(epsilon),
-		streamagg.WithVariant(streamagg.VariantWorkEfficient))
+		streamagg.WithEpsilon(epsilon))
 	// Count-min sketch for point queries.
 	mustAdd("sketch", streamagg.KindCountMin,
 		streamagg.WithEpsilon(0.001), streamagg.WithDelta(0.01), streamagg.WithSeed(7))

@@ -21,15 +21,11 @@ func benchBatches(nBatches, batchSize int, universe uint64) [][]uint64 {
 
 func BenchmarkProcessBatch(b *testing.B) {
 	bs := benchBatches(64, 1<<14, 1<<18)
-	for _, v := range []Variant{Basic, SpaceEfficient, WorkEfficient} {
-		b.Run(v.String(), func(b *testing.B) {
-			e := New(1<<20, 1.0/128, v)
-			b.SetBytes(1 << 14 * 8)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.ProcessBatch(bs[i%len(bs)])
-			}
-		})
+	e := New(1<<20, 1.0/128)
+	b.SetBytes(1 << 14 * 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.ProcessBatch(bs[i%len(bs)])
 	}
 }
 
@@ -56,7 +52,7 @@ func BenchmarkSift(b *testing.B) {
 }
 
 func BenchmarkEstimate(b *testing.B) {
-	e := New(1<<16, 0.01, WorkEfficient)
+	e := New(1<<16, 0.01)
 	bs := benchBatches(16, 1<<13, 1<<14)
 	for _, batch := range bs {
 		e.ProcessBatch(batch)

@@ -1,21 +1,20 @@
 // Package swfreq implements parallel sliding-window frequency estimation
-// and heavy hitters (Section 5.3): for a window of size n and error ε, it
-// maintains per-item space-bounded block counters so that every item's
-// frequency in the window is estimated within [f_e - εn, f_e].
+// and heavy hitters (Section 5.3, Theorem 5.4): for a window of size n
+// and error ε, it maintains per-item space-bounded block counters so that
+// every item's frequency in the window is estimated within [f_e - εn, f_e].
 //
-// Three variants are provided, mirroring the paper's development:
-//
-//   - Basic (Theorem 5.5): one (∞, n/S)-SBBC per live item, no pruning.
-//     Simple, but its space grows with the number of distinct items.
-//   - SpaceEfficient (Algorithm 2, Theorem 5.8): after each minibatch a
-//     Misra-Gries-style pruning decrements counters so at most S = ⌈8/ε⌉
-//     survive, giving O(ε⁻¹) space; per-item CSS construction still costs
-//     O(µ log µ)-flavor work (we build a CSS for every item in T ∪ B).
-//   - WorkEfficient (Theorem 5.4): the predict step computes post-batch
-//     counts from the histogram plus shrunk counter values *before*
-//     building any CSS, so sift (Lemma 5.9) only materializes the ≤ S
-//     surviving items' CSSs: O(ε⁻¹ + µ) work, at the price of an O(ε⁻¹)
-//     depth term in sift's bucketing.
+// The paper reaches Theorem 5.4 in three steps. The basic algorithm
+// (Theorem 5.5) keeps one (∞, n/S)-SBBC per item and never retires one,
+// so its space grows with the distinct items of the whole stream. The
+// space-efficient algorithm (Algorithm 2, Theorem 5.8) adds a
+// Misra-Gries-style pruning after each minibatch, so at most
+// S = ⌈8/ε⌉ counters survive, but still builds a CSS for every item it
+// tracks or sees. The work-efficient algorithm, the one implemented here,
+// keeps that pruning and predicts the post-batch counts from the
+// histogram plus shrunk counter values *before* building any CSS, so sift
+// (Lemma 5.9) only materializes the ≤ S surviving items' CSSs:
+// O(ε⁻¹ + µ) work and O(ε⁻¹) space, at the price of an O(ε⁻¹) depth term
+// in sift's bucketing.
 package swfreq
 
 import (
@@ -25,47 +24,20 @@ import (
 	"repro/internal/sbbc"
 )
 
-// Variant selects the algorithm from Section 5.3.
-type Variant int
-
-const (
-	// Basic is the direct SBBC-per-item algorithm (Theorem 5.5).
-	Basic Variant = iota
-	// SpaceEfficient adds Misra-Gries-style pruning (Theorem 5.8).
-	SpaceEfficient
-	// WorkEfficient adds survivor prediction and sift (Theorem 5.4).
-	WorkEfficient
-)
-
-// String implements fmt.Stringer for benchmark labels.
-func (v Variant) String() string {
-	switch v {
-	case Basic:
-		return "basic"
-	case SpaceEfficient:
-		return "space-efficient"
-	case WorkEfficient:
-		return "work-efficient"
-	default:
-		return "unknown"
-	}
-}
-
 // Estimator tracks approximate item frequencies over a sliding window.
 type Estimator struct {
-	variant Variant
-	n       int64
-	eps     float64
-	capS    int   // pruning capacity (SpaceEfficient/WorkEfficient)
-	gamma   int64 // SBBC block size
-	adj     int64 // worst-case overcount subtracted at query time
-	t       int64 // global stream length observed
-	seed    int64
-	ctr     map[uint64]*sbbc.Counter
+	n     int64
+	eps   float64
+	capS  int   // pruning capacity S
+	gamma int64 // SBBC block size
+	adj   int64 // worst-case overcount subtracted at query time
+	t     int64 // global stream length observed
+	seed  int64
+	ctr   map[uint64]*sbbc.Counter
 }
 
 // New creates an estimator for window size n >= 1 and epsilon in (0, 1].
-func New(n int64, epsilon float64, v Variant) *Estimator {
+func New(n int64, epsilon float64) *Estimator {
 	if n < 1 {
 		panic("swfreq: window size must be >= 1")
 	}
@@ -73,46 +45,28 @@ func New(n int64, epsilon float64, v Variant) *Estimator {
 		panic("swfreq: epsilon must be in (0, 1]")
 	}
 	e := &Estimator{
-		variant: v,
-		n:       n,
-		eps:     epsilon,
-		ctr:     make(map[uint64]*sbbc.Counter),
-		seed:    0x5357,
-	}
-	switch v {
-	case Basic:
-		// λ = n/S with S = ⌈1/ε⌉; γ = max(1, ⌊λ/2⌋).
-		s := int64(1/epsilon) + 1
-		e.gamma = maxInt64(1, n/(2*s))
-	case SpaceEfficient, WorkEfficient:
+		n:    n,
+		eps:  epsilon,
+		ctr:  make(map[uint64]*sbbc.Counter),
+		seed: 0x5357,
 		// S = ⌈8/ε⌉, λ = εn/4, γ = max(1, ⌊λ/2⌋) = max(1, ⌊εn/8⌋).
-		e.capS = int(8/epsilon) + 1
-		e.gamma = maxInt64(1, int64(epsilon*float64(n)/8))
-		if e.gamma == 1 {
-			// εn < 16 ⇒ n < 16/ε: counters are exact and at most 2n
-			// candidates can ever be live, so raising the pruning capacity
-			// to 2n+1 disables pruning (whose per-batch error unit would
-			// blow the tiny εn budget) while keeping space O(1/ε).
-			if alt := int(2*n) + 1; alt > e.capS {
-				e.capS = alt
-			}
-		}
-	default:
-		panic("swfreq: unknown variant")
+		capS:  int(8/epsilon) + 1,
+		gamma: max(1, int64(epsilon*float64(n)/8)),
 	}
-	// A γ=1 counter is exact, so nothing needs subtracting; otherwise the
-	// snapshot may overcount by up to 2γ.
-	if e.gamma > 1 {
+	if e.gamma == 1 {
+		// εn < 16 ⇒ n < 16/ε: counters are exact and at most 2n
+		// candidates can ever be live, so raising the pruning capacity
+		// to 2n+1 disables pruning (whose per-batch error unit would
+		// blow the tiny εn budget) while keeping space O(1/ε).
+		if alt := int(2*n) + 1; alt > e.capS {
+			e.capS = alt
+		}
+	} else {
+		// The snapshot may overcount by up to 2γ; a γ=1 counter is exact
+		// and subtracts nothing.
 		e.adj = 2 * e.gamma
 	}
 	return e
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // N returns the window size.
@@ -120,9 +74,6 @@ func (e *Estimator) N() int64 { return e.n }
 
 // Epsilon returns the error parameter.
 func (e *Estimator) Epsilon() float64 { return e.eps }
-
-// VariantKind returns the configured algorithm variant.
-func (e *Estimator) VariantKind() Variant { return e.variant }
 
 // StreamLen returns the number of items observed so far.
 func (e *Estimator) StreamLen() int64 { return e.t }
@@ -162,66 +113,9 @@ func (e *Estimator) ProcessBatch(items []uint64) {
 		clear(e.ctr)
 		items = items[int64(len(items))-e.n:]
 	}
-	switch e.variant {
-	case Basic:
-		e.processAll(items, false)
-	case SpaceEfficient:
-		e.processAll(items, true)
-	case WorkEfficient:
-		e.processWorkEfficient(items)
-	}
-}
-
-// processAll implements the basic algorithm, optionally followed by the
-// pruning step of Algorithm 2: build a CSS for every item present in the
-// minibatch or the counter collection, advance every counter, then (if
-// prune) decrement so at most S counters survive.
-func (e *Estimator) processAll(items []uint64, prune bool) {
-	e.seed++
-	h := hist.Build(items, e.seed)
-	// K = items of T ∪ B, histogram items first.
-	kIndex := make(map[uint64]int32, len(h)+len(e.ctr))
-	var kItems []uint64
-	for _, en := range h {
-		kIndex[en.Item] = int32(len(kItems))
-		kItems = append(kItems, en.Item)
-	}
-	for item := range e.ctr {
-		if _, ok := kIndex[item]; !ok {
-			kIndex[item] = int32(len(kItems))
-			kItems = append(kItems, item)
-		}
-	}
-	segs := sift(items, kIndex, len(kItems))
-	counters := e.ensureCounters(kItems)
-	parallel.ForGrain(len(kItems), 1, func(i int) {
-		counters[i].Advance(segs[i])
-	})
-	if prune {
-		phi := int64(0)
-		if len(kItems) > e.capS {
-			vals := parallel.Map(len(kItems), func(i int) int64 { return counters[i].Value() })
-			phi = parallel.KthLargest(vals, e.capS+1)
-		}
-		if phi > 0 {
-			parallel.ForGrain(len(kItems), 1, func(i int) {
-				if counters[i].Value() >= phi {
-					counters[i].Decrement(phi)
-				} else {
-					// Mark for deletion by zeroing: counters below the
-					// cutoff are removed entirely (Algorithm 2 step 3b).
-					counters[i].Decrement(counters[i].Value())
-				}
-			})
-		}
-	}
-	e.dropZero(kItems, counters)
-}
-
-// processWorkEfficient implements Theorem 5.4: predict survivors from the
-// histogram and shrunk counter values, sift only their CSSs, then
-// advance + decrement the survivors and delete everything else.
-func (e *Estimator) processWorkEfficient(items []uint64) {
+	// Theorem 5.4: predict survivors from the histogram and shrunk
+	// counter values, sift only their CSSs, then advance + decrement the
+	// survivors and delete everything else.
 	e.seed++
 	h := hist.Build(items, e.seed)
 	mu := int64(len(items))
@@ -274,12 +168,18 @@ func (e *Estimator) processWorkEfficient(items []uint64) {
 		counters[i].Advance(segs[i])
 		counters[i].Decrement(phi)
 	})
-	e.dropZero(kItems, counters)
+	// A counter that reached 0 carries no information (an absent counter
+	// estimates 0).
+	for i, item := range kItems {
+		if counters[i].Value() == 0 {
+			delete(e.ctr, item)
+		}
+	}
 }
 
 // ensureCounters returns the counter for each item, creating missing ones
 // (map mutation is sequential; the per-counter work is parallelized by
-// the callers).
+// the caller).
 func (e *Estimator) ensureCounters(items []uint64) []*sbbc.Counter {
 	out := make([]*sbbc.Counter, len(items))
 	for i, item := range items {
@@ -291,16 +191,6 @@ func (e *Estimator) ensureCounters(items []uint64) []*sbbc.Counter {
 		out[i] = c
 	}
 	return out
-}
-
-// dropZero removes counters whose value reached 0; they carry no
-// information (an absent counter estimates 0).
-func (e *Estimator) dropZero(items []uint64, counters []*sbbc.Counter) {
-	for i, item := range items {
-		if counters[i].Value() == 0 {
-			delete(e.ctr, item)
-		}
-	}
 }
 
 // Estimate returns the frequency estimate for item in the current

@@ -29,8 +29,6 @@ func (r *slidingRef) freqs() map[uint64]int64 {
 	return f
 }
 
-var allVariants = []Variant{Basic, SpaceEfficient, WorkEfficient}
-
 func checkWindowGuarantee(t *testing.T, e *Estimator, ref *slidingRef) {
 	t.Helper()
 	f := ref.freqs()
@@ -38,11 +36,11 @@ func checkWindowGuarantee(t *testing.T, e *Estimator, ref *slidingRef) {
 	for it, fe := range f {
 		est := e.Estimate(it)
 		if est > fe {
-			t.Fatalf("%v: item %d overestimated: %d > %d", e.VariantKind(), it, est, fe)
+			t.Fatalf("item %d overestimated: %d > %d", it, est, fe)
 		}
 		if float64(fe-est) > bound+1e-9 {
-			t.Fatalf("%v: item %d underestimated: est %d, true %d, bound εn=%g",
-				e.VariantKind(), it, est, fe, bound)
+			t.Fatalf("item %d underestimated: est %d, true %d, bound εn=%g",
+				it, est, fe, bound)
 		}
 	}
 	// Items absent from the window must estimate within the same bound
@@ -52,146 +50,40 @@ func checkWindowGuarantee(t *testing.T, e *Estimator, ref *slidingRef) {
 	for _, probe := range []uint64{1 << 60, 1<<60 + 1} {
 		if _, live := f[probe]; !live {
 			if est := e.Estimate(probe); est != 0 {
-				t.Fatalf("%v: absent item estimated %d", e.VariantKind(), est)
+				t.Fatalf("absent item estimated %d", est)
 			}
 		}
 	}
 }
 
 func TestGuaranteeUniformAllVariants(t *testing.T) {
-	for _, v := range allVariants {
-		n := int64(2048)
-		eps := 0.05
-		e := New(n, eps, v)
-		ref := newSlidingRef(n)
-		rng := rand.New(rand.NewSource(int64(v) + 1))
-		for batch := 0; batch < 40; batch++ {
-			items := make([]uint64, rng.Intn(400)+1)
-			for i := range items {
-				items[i] = uint64(rng.Intn(100))
-			}
-			e.ProcessBatch(items)
-			ref.add(items)
-			checkWindowGuarantee(t, e, ref)
+	n := int64(2048)
+	eps := 0.05
+	e := New(n, eps)
+	ref := newSlidingRef(n)
+	rng := rand.New(rand.NewSource(3))
+	for batch := 0; batch < 40; batch++ {
+		items := make([]uint64, rng.Intn(400)+1)
+		for i := range items {
+			items[i] = uint64(rng.Intn(100))
 		}
+		e.ProcessBatch(items)
+		ref.add(items)
+		checkWindowGuarantee(t, e, ref)
 	}
 }
 
 func TestGuaranteeZipfAllVariants(t *testing.T) {
-	space := map[Variant]int{}
-	for _, v := range allVariants {
-		n := int64(4096)
-		eps := 0.02
-		e := New(n, eps, v)
-		ref := newSlidingRef(n)
-		rng := rand.New(rand.NewSource(int64(v) * 7))
-		zipf := rand.NewZipf(rng, 1.2, 1, 1<<14)
-		for batch := 0; batch < 25; batch++ {
-			items := make([]uint64, 512)
-			for i := range items {
-				items[i] = zipf.Uint64()
-			}
-			e.ProcessBatch(items)
-			ref.add(items)
-		}
-		checkWindowGuarantee(t, e, ref)
-		space[v] = e.SpaceWords()
-	}
-	// Pruning must pay for itself: on a skewed stream with many distinct
-	// items the space-efficient variant may not outgrow the basic one.
-	if space[SpaceEfficient] > 2*space[Basic] {
-		t.Fatalf("space-efficient (%d words) larger than 2x basic (%d words)",
-			space[SpaceEfficient], space[Basic])
-	}
-}
-
-func TestItemsSlideOut(t *testing.T) {
-	for _, v := range allVariants {
-		n := int64(100)
-		e := New(n, 0.5, v)
-		heavy := make([]uint64, 100)
-		for i := range heavy {
-			heavy[i] = 7
-		}
-		e.ProcessBatch(heavy)
-		if est := e.Estimate(7); est < 50 {
-			t.Fatalf("%v: heavy item est %d < 50 right after burst", v, est)
-		}
-		// Slide the burst fully out with two window-lengths of other items.
-		for k := 0; k < 4; k++ {
-			other := make([]uint64, 50)
-			for i := range other {
-				other[i] = uint64(1000 + k*50 + i)
-			}
-			e.ProcessBatch(other)
-		}
-		if est := e.Estimate(7); est != 0 {
-			t.Fatalf("%v: slid-out item still estimates %d", v, est)
-		}
-	}
-}
-
-func TestBatchLargerThanWindowResets(t *testing.T) {
-	for _, v := range allVariants {
-		n := int64(64)
-		e := New(n, 0.25, v)
-		// Pre-load junk.
-		junk := make([]uint64, 30)
-		for i := range junk {
-			junk[i] = 5
-		}
-		e.ProcessBatch(junk)
-		// One huge batch: only its last n items matter.
-		big := make([]uint64, 500)
-		for i := range big {
-			if i >= 500-int(n) {
-				big[i] = 9
-			} else {
-				big[i] = 5
-			}
-		}
-		e.ProcessBatch(big)
-		ref := newSlidingRef(n)
-		ref.add(junk)
-		ref.add(big)
-		checkWindowGuarantee(t, e, ref)
-		if est := e.Estimate(9); float64(est) < float64(n)-0.25*float64(n) {
-			t.Fatalf("%v: after reset, est(9) = %d want >= %g", v, est, 0.75*float64(n))
-		}
-	}
-}
-
-func TestSpaceBoundSpaceEfficientVariants(t *testing.T) {
-	// Space-efficient and work-efficient must keep O(1/ε) counters even
-	// under an all-distinct stream; basic is allowed to grow.
-	for _, v := range []Variant{SpaceEfficient, WorkEfficient} {
-		n := int64(1 << 14)
-		eps := 0.01
-		e := New(n, eps, v)
-		next := uint64(0)
-		for batch := 0; batch < 20; batch++ {
-			items := make([]uint64, 1024)
-			for i := range items {
-				items[i] = next // all distinct forever
-				next++
-			}
-			e.ProcessBatch(items)
-			if nc := e.NumCounters(); nc > int(8/eps)+2 {
-				t.Fatalf("%v: %d counters exceed S=%d", v, nc, int(8/eps)+1)
-			}
-		}
-	}
-}
-
-func TestBasicGrowsButTracksExactly(t *testing.T) {
-	n := int64(256)
-	e := New(n, 0.1, Basic)
+	n := int64(4096)
+	eps := 0.02
+	e := New(n, eps)
 	ref := newSlidingRef(n)
-	rng := rand.New(rand.NewSource(13))
-	for batch := 0; batch < 30; batch++ {
-		items := make([]uint64, 64)
+	rng := rand.New(rand.NewSource(14))
+	zipf := rand.NewZipf(rng, 1.2, 1, 1<<14)
+	for batch := 0; batch < 25; batch++ {
+		items := make([]uint64, 512)
 		for i := range items {
-			items[i] = uint64(rng.Intn(1000)) // many distinct
+			items[i] = zipf.Uint64()
 		}
 		e.ProcessBatch(items)
 		ref.add(items)
@@ -199,112 +91,168 @@ func TestBasicGrowsButTracksExactly(t *testing.T) {
 	checkWindowGuarantee(t, e, ref)
 }
 
+func TestItemsSlideOut(t *testing.T) {
+	n := int64(100)
+	e := New(n, 0.5)
+	heavy := make([]uint64, 100)
+	for i := range heavy {
+		heavy[i] = 7
+	}
+	e.ProcessBatch(heavy)
+	if est := e.Estimate(7); est < 50 {
+		t.Fatalf("heavy item est %d < 50 right after burst", est)
+	}
+	// Slide the burst fully out with two window-lengths of other items.
+	for k := 0; k < 4; k++ {
+		other := make([]uint64, 50)
+		for i := range other {
+			other[i] = uint64(1000 + k*50 + i)
+		}
+		e.ProcessBatch(other)
+	}
+	if est := e.Estimate(7); est != 0 {
+		t.Fatalf("slid-out item still estimates %d", est)
+	}
+}
+
+func TestBatchLargerThanWindowResets(t *testing.T) {
+	n := int64(64)
+	e := New(n, 0.25)
+	// Pre-load junk.
+	junk := make([]uint64, 30)
+	for i := range junk {
+		junk[i] = 5
+	}
+	e.ProcessBatch(junk)
+	// One huge batch: only its last n items matter.
+	big := make([]uint64, 500)
+	for i := range big {
+		if i >= 500-int(n) {
+			big[i] = 9
+		} else {
+			big[i] = 5
+		}
+	}
+	e.ProcessBatch(big)
+	ref := newSlidingRef(n)
+	ref.add(junk)
+	ref.add(big)
+	checkWindowGuarantee(t, e, ref)
+	if est := e.Estimate(9); float64(est) < float64(n)-0.25*float64(n) {
+		t.Fatalf("after reset, est(9) = %d want >= %g", est, 0.75*float64(n))
+	}
+}
+
+func TestSpaceBoundSpaceEfficientVariants(t *testing.T) {
+	// Pruning keeps at most S = ⌈8/ε⌉+1 counters even under an
+	// all-distinct stream.
+	n := int64(1 << 14)
+	eps := 0.01
+	e := New(n, eps)
+	next := uint64(0)
+	for batch := 0; batch < 20; batch++ {
+		items := make([]uint64, 1024)
+		for i := range items {
+			items[i] = next // all distinct forever
+			next++
+		}
+		e.ProcessBatch(items)
+		if nc := e.NumCounters(); nc > int(8/eps)+2 {
+			t.Fatalf("%d counters exceed S=%d", nc, int(8/eps)+1)
+		}
+	}
+}
+
 func TestHeavyHittersSlidingWindow(t *testing.T) {
-	for _, v := range allVariants {
-		n := int64(2000)
-		eps, phi := 0.05, 0.2
-		e := New(n, eps, v)
-		ref := newSlidingRef(n)
-		rng := rand.New(rand.NewSource(int64(v)*3 + 11))
-		for batch := 0; batch < 20; batch++ {
-			items := make([]uint64, 250)
-			for i := range items {
-				if rng.Float64() < 0.4 {
-					items[i] = 1 // persistent heavy hitter
-				} else {
-					items[i] = uint64(rng.Intn(100000)) + 100
-				}
-			}
-			e.ProcessBatch(items)
-			ref.add(items)
-		}
-		hh := e.HeavyHitters(phi)
-		got := make(map[uint64]bool)
-		for _, h := range hh {
-			got[h] = true
-		}
-		f := ref.freqs()
-		w := float64(e.WindowLen())
-		for it, fe := range f {
-			if float64(fe) >= phi*w && !got[it] {
-				t.Fatalf("%v: missed heavy hitter %d (f=%d, φW=%g)", v, it, fe, phi*w)
+	n := int64(2000)
+	eps, phi := 0.05, 0.2
+	e := New(n, eps)
+	ref := newSlidingRef(n)
+	rng := rand.New(rand.NewSource(17))
+	for batch := 0; batch < 20; batch++ {
+		items := make([]uint64, 250)
+		for i := range items {
+			if rng.Float64() < 0.4 {
+				items[i] = 1 // persistent heavy hitter
+			} else {
+				items[i] = uint64(rng.Intn(100000)) + 100
 			}
 		}
-		for h := range got {
-			if float64(f[h]) < (phi-2*eps)*w {
-				t.Fatalf("%v: false positive %d (f=%d)", v, h, f[h])
-			}
+		e.ProcessBatch(items)
+		ref.add(items)
+	}
+	hh := e.HeavyHitters(phi)
+	got := make(map[uint64]bool)
+	for _, h := range hh {
+		got[h] = true
+	}
+	f := ref.freqs()
+	w := float64(e.WindowLen())
+	for it, fe := range f {
+		if float64(fe) >= phi*w && !got[it] {
+			t.Fatalf("missed heavy hitter %d (f=%d, φW=%g)", it, fe, phi*w)
+		}
+	}
+	for h := range got {
+		if float64(f[h]) < (phi-2*eps)*w {
+			t.Fatalf("false positive %d (f=%d)", h, f[h])
 		}
 	}
 }
 
 func TestEmptyBatch(t *testing.T) {
-	for _, v := range allVariants {
-		e := New(100, 0.1, v)
-		e.ProcessBatch(nil)
-		if e.StreamLen() != 0 || e.NumCounters() != 0 {
-			t.Fatalf("%v: empty batch changed state", v)
-		}
+	e := New(100, 0.1)
+	e.ProcessBatch(nil)
+	if e.StreamLen() != 0 || e.NumCounters() != 0 {
+		t.Fatal("empty batch changed state")
 	}
 }
 
 func TestTinyWindow(t *testing.T) {
-	for _, v := range allVariants {
-		e := New(4, 0.5, v)
-		ref := newSlidingRef(4)
-		rng := rand.New(rand.NewSource(int64(v)))
-		for batch := 0; batch < 50; batch++ {
-			items := make([]uint64, rng.Intn(3)+1)
-			for i := range items {
-				items[i] = uint64(rng.Intn(3))
-			}
-			e.ProcessBatch(items)
-			ref.add(items)
-			checkWindowGuarantee(t, e, ref)
+	e := New(4, 0.5)
+	ref := newSlidingRef(4)
+	rng := rand.New(rand.NewSource(2))
+	for batch := 0; batch < 50; batch++ {
+		items := make([]uint64, rng.Intn(3)+1)
+		for i := range items {
+			items[i] = uint64(rng.Intn(3))
 		}
+		e.ProcessBatch(items)
+		ref.add(items)
+		checkWindowGuarantee(t, e, ref)
 	}
 }
 
 func TestSmallEpsilonTimesN(t *testing.T) {
 	// εn < 16 triggers the exact-counter (γ=1) regime with pruning
 	// disabled; estimates must be exact.
-	for _, v := range []Variant{SpaceEfficient, WorkEfficient} {
-		n := int64(100)
-		eps := 0.05 // εn = 5
-		e := New(n, eps, v)
-		ref := newSlidingRef(n)
-		rng := rand.New(rand.NewSource(99))
-		for batch := 0; batch < 40; batch++ {
-			items := make([]uint64, rng.Intn(30)+1)
-			for i := range items {
-				items[i] = uint64(rng.Intn(20))
-			}
-			e.ProcessBatch(items)
-			ref.add(items)
-			f := ref.freqs()
-			for it, fe := range f {
-				if est := e.Estimate(it); est != fe {
-					t.Fatalf("%v: γ=1 regime not exact: item %d est %d true %d",
-						v, it, est, fe)
-				}
+	n := int64(100)
+	eps := 0.05 // εn = 5
+	e := New(n, eps)
+	ref := newSlidingRef(n)
+	rng := rand.New(rand.NewSource(99))
+	for batch := 0; batch < 40; batch++ {
+		items := make([]uint64, rng.Intn(30)+1)
+		for i := range items {
+			items[i] = uint64(rng.Intn(20))
+		}
+		e.ProcessBatch(items)
+		ref.add(items)
+		f := ref.freqs()
+		for it, fe := range f {
+			if est := e.Estimate(it); est != fe {
+				t.Fatalf("γ=1 regime not exact: item %d est %d true %d",
+					it, est, fe)
 			}
 		}
 	}
 }
 
-func TestVariantString(t *testing.T) {
-	if Basic.String() != "basic" || SpaceEfficient.String() != "space-efficient" ||
-		WorkEfficient.String() != "work-efficient" || Variant(99).String() != "unknown" {
-		t.Fatal("Variant.String wrong")
-	}
-}
-
 func TestPanics(t *testing.T) {
 	for _, f := range []func(){
-		func() { New(0, 0.1, Basic) },
-		func() { New(10, 0, Basic) },
-		func() { New(10, 2, Basic) },
-		func() { New(10, 0.1, Variant(42)) },
+		func() { New(0, 0.1) },
+		func() { New(10, 0) },
+		func() { New(10, 2) },
 	} {
 		func() {
 			defer func() {
@@ -352,8 +300,8 @@ func TestSiftMatchesNaive(t *testing.T) {
 }
 
 func TestAccessors(t *testing.T) {
-	e := New(50, 0.2, WorkEfficient)
-	if e.N() != 50 || e.Epsilon() != 0.2 || e.VariantKind() != WorkEfficient {
+	e := New(50, 0.2)
+	if e.N() != 50 || e.Epsilon() != 0.2 {
 		t.Fatal("accessors wrong")
 	}
 	e.ProcessBatch([]uint64{1, 2, 3})

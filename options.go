@@ -31,7 +31,6 @@ type config struct {
 	maxValue uint64
 	bits     int
 	seed     int64
-	variant  SlidingVariant
 	shards   int
 
 	// Ingestor (serving-layer) knobs; rejected by New, consumed by
@@ -135,19 +134,6 @@ func WithSeed(seed int64) Option {
 	return func(c *config) error {
 		c.seed = seed
 		c.mark("WithSeed")
-		return nil
-	}
-}
-
-// WithVariant selects the sliding-window algorithm (SlidingFreq;
-// default VariantWorkEfficient, the paper's headline algorithm).
-func WithVariant(v SlidingVariant) Option {
-	return func(c *config) error {
-		if v != VariantBasic && v != VariantSpaceEfficient && v != VariantWorkEfficient {
-			return fmt.Errorf("%w: variant %v", ErrBadParam, v)
-		}
-		c.variant = v
-		c.mark("WithVariant")
 		return nil
 	}
 }
@@ -341,7 +327,7 @@ var kindUsage = map[Kind]struct {
 		allowed: map[string]bool{"WithEpsilon": true, "WithShards": true},
 	},
 	KindSlidingFreq: {
-		allowed:  map[string]bool{"WithWindow": true, "WithEpsilon": true, "WithVariant": true},
+		allowed:  map[string]bool{"WithWindow": true, "WithEpsilon": true},
 		required: []string{"WithWindow"},
 	},
 	KindCountMin: {
@@ -358,17 +344,17 @@ var kindUsage = map[Kind]struct {
 
 // New constructs an aggregate of the given kind from functional options:
 //
-//	New(KindSlidingFreq, WithWindow(1<<20), WithEpsilon(0.01), WithVariant(VariantWorkEfficient))
+//	New(KindSlidingFreq, WithWindow(1<<20), WithEpsilon(0.01))
 //
 // Unset options take documented defaults (epsilon 0.01, delta 0.01,
-// seed 1, variant VariantWorkEfficient). Every invalid, inapplicable, or
+// seed 1). Every invalid, inapplicable, or
 // missing-required option yields an error wrapping ErrBadParam.
 func New(kind Kind, opts ...Option) (Aggregate, error) {
 	usage, ok := kindUsage[kind]
 	if !ok {
 		return nil, fmt.Errorf("%w: unknown aggregate kind %q", ErrBadParam, kind)
 	}
-	c := config{epsilon: 0.01, delta: 0.01, seed: 1, variant: VariantWorkEfficient}
+	c := config{epsilon: 0.01, delta: 0.01, seed: 1}
 	for _, opt := range opts {
 		if err := opt(&c); err != nil {
 			return nil, err
@@ -393,7 +379,7 @@ func New(kind Kind, opts ...Option) (Aggregate, error) {
 		case KindFreq:
 			return &FreqEstimator{impl: mg.New(c.epsilon)}
 		case KindSlidingFreq:
-			return &SlidingFreqEstimator{impl: swfreq.New(c.window, c.epsilon, c.variant)}
+			return &SlidingFreqEstimator{impl: swfreq.New(c.window, c.epsilon)}
 		case KindCountMin:
 			return &CountMin{impl: cms.New(c.epsilon, c.delta, c.seed)}
 		case KindCountMinRange:

@@ -22,7 +22,6 @@ func TestOptionValueValidation(t *testing.T) {
 		{"delta above one", KindCountMin, WithDelta(2)},
 		{"bits zero", KindCountMinRange, WithUniverseBits(0)},
 		{"bits sixty-four", KindCountMinRange, WithUniverseBits(64)},
-		{"variant unknown", KindSlidingFreq, WithVariant(SlidingVariant(9))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -43,8 +42,6 @@ func TestOptionApplicability(t *testing.T) {
 	}{
 		{"window on freq", KindFreq, WithWindow(10)},
 		{"window on count-min", KindCountMin, WithWindow(10)},
-		{"variant on count-min", KindCountMin, WithVariant(VariantBasic)},
-		{"variant on basic-counter", KindBasicCounter, WithVariant(VariantBasic)},
 		{"delta on sliding-freq", KindSlidingFreq, WithDelta(0.1)},
 		{"delta on basic-counter", KindBasicCounter, WithDelta(0.1)},
 		{"seed on freq", KindFreq, WithSeed(3)},
@@ -114,7 +111,7 @@ func TestNewAllKinds(t *testing.T) {
 		{KindBasicCounter, []Option{WithWindow(1 << 10), WithEpsilon(0.1)}},
 		{KindWindowSum, []Option{WithWindow(1 << 10), WithMaxValue(255)}},
 		{KindFreq, nil},
-		{KindSlidingFreq, []Option{WithWindow(1 << 10), WithVariant(VariantSpaceEfficient)}},
+		{KindSlidingFreq, []Option{WithWindow(1 << 10)}},
 		{KindCountMin, []Option{WithEpsilon(0.001), WithDelta(0.01), WithSeed(7)}},
 		{KindCountMinRange, []Option{WithUniverseBits(12)}},
 		{KindCountSketch, []Option{WithSeed(5)}},
@@ -150,17 +147,17 @@ func TestLegacyConstructorsValidateCentrally(t *testing.T) {
 	if _, err := NewBasicCounter(0, 0.1); !errors.Is(err, ErrBadParam) {
 		t.Fatal("NewBasicCounter(0, ·) accepted")
 	}
-	if _, err := NewSlidingFreqEstimator(10, 0.1, SlidingVariant(42)); !errors.Is(err, ErrBadParam) {
-		t.Fatal("bad variant accepted")
+	if _, err := NewSlidingFreqEstimator(0, 0.1); !errors.Is(err, ErrBadParam) {
+		t.Fatal("NewSlidingFreqEstimator(0, ·) accepted")
 	}
 	if _, err := NewCountMinRange(64, 0.1, 0.1, 1); !errors.Is(err, ErrBadParam) {
 		t.Fatal("bits=64 accepted")
 	}
-	sw, err := NewSlidingFreqEstimator(16, 0.25, VariantWorkEfficient)
+	sw, err := NewSlidingFreqEstimator(16, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sw.Variant() != VariantWorkEfficient || sw.WindowSize() != 16 {
+	if sw.WindowSize() != 16 {
 		t.Fatal("legacy constructor misconfigured the estimator")
 	}
 }

@@ -23,7 +23,7 @@ func buildFullPipeline(t *testing.T) *Pipeline {
 	add("ones", KindBasicCounter, WithWindow(4096), WithEpsilon(0.05))
 	add("load", KindWindowSum, WithWindow(4096), WithMaxValue(4095), WithEpsilon(0.05))
 	add("freq", KindFreq, WithEpsilon(0.01))
-	add("recent", KindSlidingFreq, WithWindow(8192), WithEpsilon(0.02), WithVariant(VariantWorkEfficient))
+	add("recent", KindSlidingFreq, WithWindow(8192), WithEpsilon(0.02))
 	add("cm", KindCountMin, WithEpsilon(0.001), WithDelta(0.01), WithSeed(7))
 	add("dist", KindCountMinRange, WithUniverseBits(12), WithEpsilon(0.002), WithDelta(0.01), WithSeed(3))
 	add("cs", KindCountSketch, WithEpsilon(0.05), WithDelta(0.01), WithSeed(9))

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -511,5 +513,63 @@ func TestServerConcurrentIngestCheckpoint(t *testing.T) {
 	}
 	if !reflect.DeepEqual(srv.Pipeline(), pipe) {
 		t.Fatal("Pipeline accessor lost the pipeline")
+	}
+}
+
+// TestServerRestoreRefusesBasicSliding: a checkpoint holding a
+// sliding-freq member of the basic algorithm, which no longer ships, is
+// a 400 from /v1/restore and leaves the served state as it was. The
+// fixture is described in the root package's slidingfreq_compat_test.go.
+func TestServerRestoreRefusesBasicSliding(t *testing.T) {
+	basic, err := os.ReadFile(filepath.Join("..", "testdata", "parent_sliding_basic.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := streamagg.NewPipeline()
+	if _, err := p.Add("recent", streamagg.KindSlidingFreq,
+		streamagg.WithWindow(4096), streamagg.WithEpsilon(0.05)); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Shutdown(t.Context())
+	client := ts.Client()
+
+	chunk := make([]uint64, 1024) // 512 copies of item 7, the rest distinct
+	for i := range chunk {
+		chunk[i] = 7
+		if i%2 == 1 {
+			chunk[i] = uint64(1000 + i)
+		}
+	}
+	ingestSync(t, client, ts.URL, chunk)
+	served := func() map[string]json.RawMessage {
+		t.Helper()
+		out := map[string]json.RawMessage{}
+		for _, url := range []string{"/v1/recent/topk?k=10", "/v1/recent/estimate?item=7"} {
+			var v json.RawMessage
+			get(t, client, ts.URL+url, &v)
+			out[url] = v
+		}
+		var stats struct{ Aggregates json.RawMessage }
+		get(t, client, ts.URL+"/v1/stats", &stats)
+		out["/v1/stats aggregates"] = stats.Aggregates
+		return out
+	}
+	before := served()
+	var est struct{ Estimate int64 }
+	if err := json.Unmarshal(before["/v1/recent/estimate?item=7"], &est); err != nil || est.Estimate < 512-204 || est.Estimate > 512 {
+		t.Fatalf("estimate of item 7 before the restore: %s, want within [512 - εn, 512], εn = 204.8", before["/v1/recent/estimate?item=7"])
+	}
+	code, body := post(t, client, ts.URL+"/v1/restore", "application/octet-stream", basic)
+	if code != http.StatusBadRequest || !bytes.Contains(body, []byte("basic")) {
+		t.Fatalf("basic restore = %d %s, want 400 naming the variant", code, body)
+	}
+	if after := served(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("refused restore changed the served state:\nbefore %s\nafter  %s", before, after)
 	}
 }

@@ -38,12 +38,6 @@ var kindAlias = map[string]streamagg.Kind{
 	"cs":                     streamagg.KindCountSketch,
 }
 
-var variantAlias = map[string]streamagg.SlidingVariant{
-	"basic": streamagg.VariantBasic,
-	"space": streamagg.VariantSpaceEfficient,
-	"work":  streamagg.VariantWorkEfficient,
-}
-
 // ParseSpec parses one aggregate spec into its name, kind, and options.
 func ParseSpec(spec string) (name string, kind streamagg.Kind, opts []streamagg.Option, err error) {
 	head, rest, _ := strings.Cut(spec, ",")
@@ -116,14 +110,8 @@ func parseOption(key, val string) (streamagg.Option, error) {
 			return nil, fmt.Errorf("option %s=%q: %w", key, val, err)
 		}
 		return streamagg.WithShards(n), nil
-	case "variant":
-		v, ok := variantAlias[val]
-		if !ok {
-			return nil, fmt.Errorf("option %s=%q (want basic, space, or work)", key, val)
-		}
-		return streamagg.WithVariant(v), nil
 	}
-	return nil, fmt.Errorf("unknown option %q (want eps, delta, seed, window, max, bits, shards, or variant)", key)
+	return nil, fmt.Errorf("unknown option %q (want eps, delta, seed, window, max, bits, or shards)", key)
 }
 
 // AddSpecs parses each spec and registers the aggregates on p.

@@ -2,36 +2,20 @@ package streamagg
 
 import "repro/internal/swfreq"
 
-// SlidingVariant selects the sliding-window frequency algorithm.
-type SlidingVariant = swfreq.Variant
-
-// Sliding-window algorithm variants (Section 5.3 of the paper).
-const (
-	// VariantBasic is the direct SBBC-per-item algorithm (Theorem 5.5);
-	// space grows with the number of distinct live items.
-	VariantBasic = swfreq.Basic
-	// VariantSpaceEfficient prunes Misra-Gries-style to O(1/ε) counters
-	// (Algorithm 2, Theorem 5.8).
-	VariantSpaceEfficient = swfreq.SpaceEfficient
-	// VariantWorkEfficient additionally predicts pruning survivors before
-	// building per-item streams, reaching O(ε⁻¹ + µ) work (Theorem 5.4).
-	VariantWorkEfficient = swfreq.WorkEfficient
-)
-
 // SlidingFreqEstimator tracks approximate item frequencies over a
 // count-based sliding window of the last n items. Estimates satisfy
 // f_e - εn <= Estimate(e) <= f_e where f_e is the item's frequency in
-// the window.
+// the window. It runs the paper's work-efficient algorithm (Theorem 5.4):
+// at most ⌈8/ε⌉+1 counters, O(ε⁻¹ + µ) work per minibatch of µ items.
 type SlidingFreqEstimator struct {
 	gate
 	impl *swfreq.Estimator
 }
 
-// NewSlidingFreqEstimator creates an estimator for window size n >= 1,
-// error epsilon in (0, 1], and the given algorithm variant
-// (VariantWorkEfficient is the paper's headline algorithm).
-func NewSlidingFreqEstimator(n int64, epsilon float64, v SlidingVariant) (*SlidingFreqEstimator, error) {
-	a, err := New(KindSlidingFreq, WithWindow(n), WithEpsilon(epsilon), WithVariant(v))
+// NewSlidingFreqEstimator creates an estimator for window size n >= 1
+// and error epsilon in (0, 1].
+func NewSlidingFreqEstimator(n int64, epsilon float64) (*SlidingFreqEstimator, error) {
+	a, err := New(KindSlidingFreq, WithWindow(n), WithEpsilon(epsilon))
 	if err != nil {
 		return nil, err
 	}
@@ -94,14 +78,8 @@ func (s *SlidingFreqEstimator) WindowSize() (n int64) {
 	return n
 }
 
-// Variant returns the configured algorithm variant.
-func (s *SlidingFreqEstimator) Variant() (v SlidingVariant) {
-	s.read(func() { v = s.impl.VariantKind() })
-	return v
-}
-
-// TrackedItems returns the number of live per-item counters (bounded by
-// O(1/ε) for the space- and work-efficient variants).
+// TrackedItems returns the number of live per-item counters, at most
+// ⌈8/ε⌉+1.
 func (s *SlidingFreqEstimator) TrackedItems() (n int) {
 	s.read(func() { n = s.impl.NumCounters() })
 	return n

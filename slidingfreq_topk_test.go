@@ -7,7 +7,7 @@ import (
 )
 
 func TestSlidingTopK(t *testing.T) {
-	s, err := NewSlidingFreqEstimator(5000, 0.02, VariantWorkEfficient)
+	s, err := NewSlidingFreqEstimator(5000, 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}

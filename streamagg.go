@@ -18,8 +18,7 @@
 //   - FreqEstimator — infinite-window frequency estimation and heavy
 //     hitters with the parallel Misra-Gries summary (Theorem 5.2).
 //   - SlidingFreqEstimator — sliding-window frequency estimation and
-//     heavy hitters in three variants: Basic (Theorem 5.5),
-//     SpaceEfficient (Theorem 5.8), WorkEfficient (Theorem 5.4).
+//     heavy hitters with the work-efficient algorithm (Theorem 5.4).
 //   - CountMin / CountMinRange — the parallel count-min sketch
 //     (Theorem 6.1) with point, range and quantile queries.
 //   - CountSketch — the unbiased turnstile sketch of [CCFC02].

@@ -137,50 +137,45 @@ func TestFreqEstimatorEndToEnd(t *testing.T) {
 }
 
 func TestSlidingFreqEstimatorAllVariants(t *testing.T) {
-	for _, v := range []SlidingVariant{VariantBasic, VariantSpaceEfficient, VariantWorkEfficient} {
-		n := int64(4000)
-		eps := 0.05
-		s, err := NewSlidingFreqEstimator(n, eps, v)
-		if err != nil {
-			t.Fatal(err)
+	n := int64(4000)
+	eps := 0.05
+	s, err := NewSlidingFreqEstimator(n, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := workload.Zipf(12, 40000, 1.3, 1<<12)
+	var window []uint64
+	for _, batch := range workload.Batches(stream, 1024) {
+		s.ProcessBatch(batch)
+		window = append(window, batch...)
+		if int64(len(window)) > n {
+			window = window[int64(len(window))-n:]
 		}
-		stream := workload.Zipf(int64(v)+10, 40000, 1.3, 1<<12)
-		var window []uint64
-		for _, batch := range workload.Batches(stream, 1024) {
-			s.ProcessBatch(batch)
-			window = append(window, batch...)
-			if int64(len(window)) > n {
-				window = window[int64(len(window))-n:]
-			}
+	}
+	exact := map[uint64]int64{}
+	for _, it := range window {
+		exact[it]++
+	}
+	for it, fe := range exact {
+		est := s.Estimate(it)
+		if est > fe || float64(fe-est) > eps*float64(n)+1e-9 {
+			t.Fatalf("item %d: est %d true %d", it, est, fe)
 		}
-		exact := map[uint64]int64{}
-		for _, it := range window {
-			exact[it]++
-		}
-		for it, fe := range exact {
-			est := s.Estimate(it)
-			if est > fe || float64(fe-est) > eps*float64(n)+1e-9 {
-				t.Fatalf("%v item %d: est %d true %d", v, it, est, fe)
-			}
-		}
-		if s.Variant() != v || s.WindowSize() != n {
-			t.Fatal("accessors wrong")
-		}
-		if v != VariantBasic && s.TrackedItems() > int(8/eps)+2 {
-			t.Fatalf("%v tracks %d items", v, s.TrackedItems())
-		}
+	}
+	if s.WindowSize() != n {
+		t.Fatal("accessors wrong")
+	}
+	if s.TrackedItems() > int(8/eps)+2 {
+		t.Fatalf("tracks %d items", s.TrackedItems())
 	}
 }
 
 func TestSlidingFreqParamErrors(t *testing.T) {
-	if _, err := NewSlidingFreqEstimator(0, 0.1, VariantBasic); !errors.Is(err, ErrBadParam) {
+	if _, err := NewSlidingFreqEstimator(0, 0.1); !errors.Is(err, ErrBadParam) {
 		t.Fatal("n=0 accepted")
 	}
-	if _, err := NewSlidingFreqEstimator(10, 0, VariantBasic); !errors.Is(err, ErrBadParam) {
+	if _, err := NewSlidingFreqEstimator(10, 0); !errors.Is(err, ErrBadParam) {
 		t.Fatal("eps=0 accepted")
-	}
-	if _, err := NewSlidingFreqEstimator(10, 0.1, SlidingVariant(9)); !errors.Is(err, ErrBadParam) {
-		t.Fatal("bad variant accepted")
 	}
 }
 
@@ -286,7 +281,7 @@ func TestConcurrentQueriesDuringUpdates(t *testing.T) {
 		{KindSlidingFreq, []Option{WithWindow(1 << 14), WithEpsilon(0.05)}, func(a Aggregate) {
 			s := a.(*SlidingFreqEstimator)
 			_, _, _ = s.Estimate(0), s.TopK(3), s.HeavyHitters(0.1)
-			_, _, _ = s.WindowSize(), s.Variant(), s.TrackedItems()
+			_, _ = s.WindowSize(), s.TrackedItems()
 		}},
 		{KindCountMin, []Option{WithEpsilon(0.01)}, func(a Aggregate) {
 			c := a.(*CountMin)

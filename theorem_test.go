@@ -86,15 +86,6 @@ func filledWindowSum(n int64, r uint64, eps float64) *wsum.Summer {
 	return s
 }
 
-// distinct counts the distinct items of stream.
-func distinct(stream []uint64) float64 {
-	seen := make(map[uint64]bool)
-	for _, it := range stream {
-		seen[it] = true
-	}
-	return float64(len(seen))
-}
-
 // spaceRows is the table. The sweeps stay small enough to run under
 // the race detector.
 func spaceRows() []spaceRow {
@@ -195,40 +186,17 @@ func spaceRows() []spaceRow {
 			},
 		},
 		{
-			claim: "Thms 5.4/5.8", bound: "ε⁻¹", c: 76,
+			claim: "Thm 5.4", bound: "ε⁻¹", c: 76,
 			axes: []spaceAxis{
 				{"1/ε", 1, func() (ps []spacePoint) {
 					const n = 1 << 14
 					stream := workload.Batches(workload.Zipf(54, 4*n, 1.1, 1<<20), 1<<12)
-					for _, v := range []swfreq.Variant{swfreq.WorkEfficient, swfreq.SpaceEfficient} {
-						for _, eps := range epsSweep {
-							e := swfreq.New(n, eps, v)
-							for _, b := range stream {
-								e.ProcessBatch(b)
-							}
-							ps = append(ps, spacePoint{1 / eps, float64(e.SpaceWords()), 1 / eps})
-						}
-					}
-					return ps
-				}},
-			},
-		},
-		{
-			// D counts the stream's distinct items, not the window's: a
-			// counter keeps its tail of fewer than γ unsampled ones after
-			// they leave the window, so it never reaches 0 and stays.
-			claim: "Thm 5.5", bound: "D + ε⁻¹", c: 9.5,
-			axes: []spaceAxis{
-				{"D", 1, func() (ps []spacePoint) {
-					const n, eps = 1 << 14, 1.0 / 16
-					for _, keys := range []uint64{256, 1024, 4096, 16384} {
-						e := swfreq.New(n, eps, swfreq.Basic)
-						stream := workload.Uniform(int64(keys), 2*n, keys)
-						for _, b := range workload.Batches(stream, 1<<12) {
+					for _, eps := range epsSweep {
+						e := swfreq.New(n, eps)
+						for _, b := range stream {
 							e.ProcessBatch(b)
 						}
-						d := distinct(stream)
-						ps = append(ps, spacePoint{d, float64(e.SpaceWords()), d + 1/eps})
+						ps = append(ps, spacePoint{1 / eps, float64(e.SpaceWords()), 1 / eps})
 					}
 					return ps
 				}},
