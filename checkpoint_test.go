@@ -237,3 +237,59 @@ func roundTrip(t *testing.T, src, dst marshaler) {
 		t.Fatal(err)
 	}
 }
+
+// TestCheckpointIsAFunctionOfState: a checkpoint depends only on the
+// state it captures. For a pipeline holding one member of every kind
+// (and a sharded one), two MarshalBinary calls give identical bytes, and
+// so does marshalling the pipeline those bytes restore to. Without that,
+// byte-identity checks on /v1/checkpoint could not cover a window kind.
+func TestCheckpointIsAFunctionOfState(t *testing.T) {
+	p := NewPipeline()
+	for _, m := range []struct {
+		name string
+		kind Kind
+		opts []Option
+	}{
+		{"ones", KindBasicCounter, []Option{WithWindow(1 << 12)}},
+		{"load", KindWindowSum, []Option{WithWindow(1 << 12), WithMaxValue(1 << 20)}},
+		{"hot", KindFreq, []Option{WithEpsilon(0.01)}},
+		{"recent", KindSlidingFreq, []Option{WithWindow(1 << 12), WithEpsilon(0.01)}},
+		{"sketch", KindCountMin, []Option{WithEpsilon(0.01), WithSeed(7)}},
+		{"sharded", KindCountMin, []Option{WithEpsilon(0.01), WithShards(2)}},
+		{"dist", KindCountMinRange, []Option{WithUniverseBits(20), WithSeed(3)}},
+		{"signed", KindCountSketch, []Option{WithEpsilon(0.1), WithSeed(9)}},
+	} {
+		if _, err := p.Add(m.name, m.kind, m.opts...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for b := int64(0); b < 4; b++ {
+		if err := p.ProcessBatch(workload.Zipf(b, 3000, 1.1, 1<<18)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := p.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		again, err := p.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, first) {
+			t.Fatalf("marshal %d differs from the first (%d vs %d bytes)", i+2, len(again), len(first))
+		}
+	}
+	restored, err := UnmarshalPipeline(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	re, err := restored.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(re, first) {
+		t.Fatalf("restore then marshal differs from the original checkpoint (%d vs %d bytes)", len(re), len(first))
+	}
+}

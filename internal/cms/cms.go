@@ -6,20 +6,24 @@
 // histogram entry to one cell per row, and they share that table; they
 // differ only in how an entry lands in a row and how a query reads it.
 //
-// Rows are addressed by one 64-bit base hash per item, with row i's
-// column derived as (g1 + i·g2) mod w (Kirsch–Mitzenmacher [KM08]), so
-// ingesting an item into all d rows costs one hash plus d multiply-adds
-// and the batch path reuses per-instance scratch for zero steady-state
-// allocations.
+// Rows are addressed by one 64-bit base hash pair (g1, g2) per item,
+// with row i's column ⌊(g1 + i·g2)·w / 2⁶⁴⌋, a multiply-high range
+// reduction (Kirsch–Mitzenmacher [KM08], hashfn.Derived.Row), so
+// ingesting an item into all d rows costs one hash plus d multiply-adds.
 //
-// Minibatch ingestion first builds a histogram (Theorem 2.3), then adds
-// each distinct item's total per row, each row owned by one writer
-// goroutine, which preserves the CRCW-combining single-writer property.
-// Cost: O(d·max(µ, w)) work and polylog depth.
+// Minibatch ingestion first builds a histogram (Theorem 2.3), then folds
+// each distinct item's total into its d cells. A fold below
+// parallel.MinFork cell updates runs inline, one pass per entry. A
+// larger one hashes the entries in parallel blocks, then gives each row
+// one writer goroutine, which preserves the CRCW-combining single-writer
+// property. The inline pass needs no scratch; the forked one hashes into
+// per-instance scratch reused across batches. Neither allocates anything
+// that grows with the batch. Cost: O(d·max(µ, w)) work and polylog depth.
 package cms
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/hist"
 	"repro/internal/parallel"
@@ -83,6 +87,24 @@ func (s *Sketch) ProcessBatch(items []uint64) {
 // item) into the sketch; h is only read.
 func (s *Sketch) AddHistogram(h []hist.Entry) { s.addHistogram(h, s) }
 
+// fold adds every entry of h to its d cells in one pass per entry: one
+// base hash, then d columns stepped g1 += g2 through the multiply-high
+// reduction of hashfn.Derived.Row, so the cells match Update's. It
+// returns the weight added.
+func (s *Sketch) fold(h []hist.Entry) (m int64) {
+	w := uint64(s.w)
+	for _, en := range h {
+		g1, g2 := s.base.Base(en.Item)
+		for _, row := range s.rows {
+			col, _ := bits.Mul64(g1, w)
+			row[col] += en.Freq
+			g1 += g2
+		}
+		m += en.Freq
+	}
+	return m
+}
+
 // hashEntries fills the base-hash scratch for entries [lo, hi) of h.
 func (s *Sketch) hashEntries(h []hist.Entry, lo, hi int) {
 	for j := lo; j < hi; j++ {
@@ -91,13 +113,15 @@ func (s *Sketch) hashEntries(h []hist.Entry, lo, hi int) {
 }
 
 // foldRows adds h into rows [lo, hi), one row at a time; the caller is
-// those rows' only writer.
+// those rows' only writer. Row i's column is hashfn.Derived.Row's.
 func (s *Sketch) foldRows(h []hist.Entry, lo, hi int) {
-	g1, g2 := s.g1, s.g2
+	w := uint64(s.w)
+	g1, g2 := s.g1[:len(h)], s.g2[:len(h)]
 	for i := lo; i < hi; i++ {
-		row := s.rows[i]
+		row, step := s.rows[i], uint64(i)
 		for j, en := range h {
-			row[s.base.Row(g1[j], g2[j], i)] += en.Freq
+			col, _ := bits.Mul64(g1[j]+step*g2[j], w)
+			row[col] += en.Freq
 		}
 	}
 }

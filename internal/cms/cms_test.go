@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/parallel"
 )
 
 func exactFreqs(items []uint64) map[uint64]int64 {
@@ -93,6 +96,63 @@ func TestBatchMatchesSequential(t *testing.T) {
 			}
 		}
 	}
+}
+
+func TestForkedFoldMatchesSequential(t *testing.T) {
+	// 8192 distinct items at d = 4 are 32 768 cell updates, twice
+	// parallel.MinFork, so ProcessBatch takes the forked branch: entries
+	// hashed in parallel blocks, then one writer per row. The smaller
+	// batches of the other MatchesSequential tests take the inline one.
+	// In the range stack, levels 0 and 1 fork and the levels above fold
+	// inline, so one batch crosses both branches.
+	const distinct, d = 8192, 4
+	if distinct*d < parallel.MinFork {
+		t.Fatalf("%d×%d cell updates do not reach parallel.MinFork = %d", distinct, d, parallel.MinFork)
+	}
+	rng := rand.New(rand.NewSource(17))
+	items := make([]uint64, 0, 3*distinct)
+	for i := 0; i < distinct; i++ {
+		items = append(items, uint64(i))
+	}
+	for len(items) < cap(items) { // uneven weights: every entry's Freq matters
+		items = append(items, uint64(rng.Intn(distinct/8)))
+	}
+	rng.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
+
+	sameCells := func(t *testing.T, what string, got, want State) {
+		t.Helper()
+		if got.M != want.M {
+			t.Fatalf("%s: TotalCount %d, sequential %d", what, got.M, want.M)
+		}
+		for c := range want.Cells {
+			if got.Cells[c] != want.Cells[c] {
+				t.Fatalf("%s: cell [%d][%d] = %d, sequential %d", what, c/want.W, c%want.W, got.Cells[c], want.Cells[c])
+			}
+		}
+	}
+	for _, k := range linearKinds {
+		t.Run(k.name, func(t *testing.T) {
+			a, b := k.new(d, 1000, 5), k.new(d, 1000, 5)
+			a.ProcessBatch(items)
+			for _, it := range items {
+				b.Update(it, 1)
+			}
+			sameCells(t, k.name, a.State(), b.State())
+		})
+	}
+	t.Run("count-min-range", func(t *testing.T) {
+		a, b := NewRange(13, 0.01, 0.02, 5), NewRange(13, 0.01, 0.02, 5)
+		if a.levels[0].Depth() != d {
+			t.Fatalf("range depth %d, want %d", a.levels[0].Depth(), d)
+		}
+		a.ProcessBatch(items)
+		for _, it := range items {
+			b.Update(it, 1)
+		}
+		for l := range a.levels {
+			sameCells(t, fmt.Sprintf("level %d", l), a.levels[l].State(), b.levels[l].State())
+		}
+	})
 }
 
 func TestSmallBatchFastPath(t *testing.T) {
@@ -281,6 +341,27 @@ func TestDerivedBatchSteadyStateAllocs(t *testing.T) {
 			allocs := testing.AllocsPerRun(10, func() { s.ProcessBatch(items) })
 			if allocs != 2 {
 				t.Fatalf("batch path allocates %.0f objects per batch, pinned at 2", allocs)
+			}
+		})
+	}
+}
+
+func TestInlineFoldSteadyStateAllocs(t *testing.T) {
+	// A batch whose fold stays below parallel.MinFork cell updates runs
+	// inline, one pass per entry, and allocates nothing once warm: no
+	// fork-join bookkeeping, and no hash scratch at all.
+	rng := rand.New(rand.NewSource(13))
+	items := make([]uint64, 4096)
+	for i := range items {
+		items[i] = uint64(rng.Intn(2000))
+	}
+	for _, k := range linearKinds {
+		t.Run(k.name, func(t *testing.T) {
+			s := k.new(5, 1<<14, 42)
+			s.ProcessBatch(items) // warm the histogram builder
+			allocs := testing.AllocsPerRun(10, func() { s.ProcessBatch(items) })
+			if allocs != 0 {
+				t.Fatalf("inline batch path allocates %.0f objects per batch, want 0", allocs)
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package cms
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/hist"
 )
@@ -15,7 +16,7 @@ import (
 // from the item's base hash pair.
 type CountSketch struct {
 	table
-	sw []uint64 // per-entry sign words, batch scratch like g1 and g2
+	sw []uint64 // per-entry sign words, forked-fold scratch like g1 and g2
 }
 
 // NewCountSketch creates a sketch with w = ⌈3/ε²⌉ columns and
@@ -74,8 +75,28 @@ func (s *CountSketch) ProcessBatch(items []uint64) {
 // AddHistogram folds a precomputed histogram (one entry per distinct
 // item) into the sketch; h is only read.
 func (s *CountSketch) AddHistogram(h []hist.Entry) {
-	grow(&s.sw, len(h))
+	if s.forks(len(h)) {
+		grow(&s.sw, len(h))
+	}
 	s.addHistogram(h, s)
+}
+
+// fold adds every entry of h, signed, to its d cells in one pass per
+// entry: one base hash and one sign word, then d columns stepped
+// g1 += g2 as in Sketch.fold. It returns the weight added.
+func (s *CountSketch) fold(h []hist.Entry) (m int64) {
+	w := uint64(s.w)
+	for _, en := range h {
+		g1, g2 := s.base.Base(en.Item)
+		sw := s.base.SignWord(g1, g2)
+		for i, row := range s.rows {
+			col, _ := bits.Mul64(g1, w)
+			row[col] += signFromWord(sw, i) * en.Freq
+			g1 += g2
+		}
+		m += en.Freq
+	}
+	return m
 }
 
 // hashEntries fills the base-hash and sign-word scratch for entries
@@ -90,11 +111,13 @@ func (s *CountSketch) hashEntries(h []hist.Entry, lo, hi int) {
 // foldRows adds h, signed, into rows [lo, hi), one row at a time; the
 // caller is those rows' only writer.
 func (s *CountSketch) foldRows(h []hist.Entry, lo, hi int) {
-	g1, g2, sw := s.g1, s.g2, s.sw
+	w := uint64(s.w)
+	g1, g2, sw := s.g1[:len(h)], s.g2[:len(h)], s.sw[:len(h)]
 	for i := lo; i < hi; i++ {
-		row := s.rows[i]
+		row, step := s.rows[i], uint64(i)
 		for j, en := range h {
-			row[s.base.Row(g1[j], g2[j], i)] += signFromWord(sw[j], i) * en.Freq
+			col, _ := bits.Mul64(g1[j]+step*g2[j], w)
+			row[col] += signFromWord(sw[j], i) * en.Freq
 		}
 	}
 }

@@ -24,8 +24,8 @@ type table struct {
 	seed     int64 // rolling seed for per-batch histogram hashing
 
 	// Per-instance batch scratch, reused across batches (the caller's
-	// write gate serializes them): the histogram builder plus the
-	// per-entry base-hash pairs shared by all rows.
+	// write gate serializes them): the histogram builder plus, for a
+	// forked fold only, the per-entry base-hash pairs all rows share.
 	hb     hist.Builder
 	g1, g2 []uint64
 }
@@ -55,10 +55,14 @@ func (t *table) TotalCount() int64 { return t.m }
 // the hash family's three words, and d, w, m and the seed.
 func (t *table) SpaceWords() int { return t.d*t.w + 3 + 4 }
 
-// kernel is the per-kind half of a histogram fold: hashEntries fills the
-// per-entry hash scratch for entries [lo, hi), and foldRows adds the
-// whole histogram into rows [lo, hi), whose only writer the caller is.
+// kernel is the per-kind half of a histogram fold. fold is the inline
+// pass: it hashes each entry once, adds it to all d rows and returns the
+// weight it added. The forked pass splits the same work by writer:
+// hashEntries fills the per-entry hash scratch for entries [lo, hi), and
+// foldRows adds the whole histogram into rows [lo, hi), whose only
+// writer the caller is.
 type kernel interface {
+	fold(h []hist.Entry) int64
 	hashEntries(h []hist.Entry, lo, hi int)
 	foldRows(h []hist.Entry, lo, hi int)
 }
@@ -71,26 +75,27 @@ func grow(buf *[]uint64, n int) {
 	*buf = (*buf)[:n]
 }
 
-// addHistogram folds a histogram into the table through k: one base hash
-// per entry (into reused scratch), then each row folded by a single
-// owner goroutine — the CRCW-combining single-writer property with zero
-// allocations in steady state. h is only read.
+// forks reports whether a p-entry fold is worth a fork-join: below
+// parallel.MinFork cell updates (the upper levels of a dyadic stack, a
+// serving-size minibatch) starting goroutines costs more than the fold.
+func (t *table) forks(p int) bool { return p*t.d >= parallel.MinFork }
+
+// addHistogram folds a histogram into the table through k. A small fold
+// runs inline, one pass per entry. A large one hashes the entries into
+// reused scratch in parallel blocks, then folds each row under a single
+// owner goroutine: the CRCW-combining single-writer property of Theorem
+// 6.1. Neither allocates in steady state beyond the fork-join's own
+// bookkeeping. h is only read.
 func (t *table) addHistogram(h []hist.Entry, k kernel) {
 	p := len(h)
-	if p == 0 {
+	if !t.forks(p) {
+		t.m += k.fold(h)
 		return
 	}
 	grow(&t.g1, p)
 	grow(&t.g2, p)
-	if p*t.d < parallel.MinFork {
-		// Too few cell updates to pay for a fork-join (the upper levels
-		// of a dyadic stack carry a handful of entries each).
-		k.hashEntries(h, 0, p)
-		k.foldRows(h, 0, t.d)
-	} else {
-		parallel.Blocks(p, parallel.DefaultGrain, func(lo, hi int) { k.hashEntries(h, lo, hi) })
-		parallel.Blocks(t.d, 1, func(lo, hi int) { k.foldRows(h, lo, hi) })
-	}
+	parallel.Blocks(p, parallel.DefaultGrain, func(lo, hi int) { k.hashEntries(h, lo, hi) })
+	parallel.Blocks(t.d, 1, func(lo, hi int) { k.foldRows(h, lo, hi) })
 	for _, en := range h {
 		t.m += en.Freq
 	}

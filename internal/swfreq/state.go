@@ -2,6 +2,8 @@ package swfreq
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/sbbc"
 )
@@ -28,7 +30,9 @@ type State struct {
 	Counters []sbbc.State
 }
 
-// State captures the estimator for serialization.
+// State captures the estimator for serialization. Items are in
+// ascending order, with Counters in lockstep, so equal estimators give
+// equal states whatever the map's iteration order.
 func (e *Estimator) State() State {
 	st := State{
 		Variant: variantWorkEfficient,
@@ -37,9 +41,10 @@ func (e *Estimator) State() State {
 		T:       e.t,
 		Seed:    e.seed,
 	}
-	for item, c := range e.ctr {
-		st.Items = append(st.Items, item)
-		st.Counters = append(st.Counters, c.State())
+	st.Items = slices.Sorted(maps.Keys(e.ctr))
+	st.Counters = make([]sbbc.State, len(st.Items))
+	for i, item := range st.Items {
+		st.Counters[i] = e.ctr[item].State()
 	}
 	return st
 }
