@@ -833,46 +833,6 @@ func (in *Ingestor) Restore(data []byte) error {
 	return nil
 }
 
-// Swap captures the sink's state and replaces it with the given
-// checkpoint in one quiesced step: the returned bytes hold everything
-// the sink had absorbed up to the swap boundary, and the sink continues
-// from the replacement — nothing enqueued is lost or double-counted on
-// either side of the cut. This is the delta-push reset: a federation
-// edge swaps in a pristine checkpoint and ships the captured state,
-// which then exists only in the outbound payload. Like Restore, a
-// successful swap clears the sticky sink error, and on a durable
-// Ingestor the replacement is snapshotted at the current WAL position —
-// so a crash after the swap recovers to the replacement, exactly the
-// unpushed state.
-func (in *Ingestor) Swap(replacement []byte) ([]byte, error) {
-	m, mok := in.sink.(encoding.BinaryMarshaler)
-	u, uok := in.sink.(encoding.BinaryUnmarshaler)
-	if !mok || !uok {
-		return nil, fmt.Errorf("%w: ingest sink %T cannot swap state", ErrBadParam, in.sink)
-	}
-	in.snapMu.Lock()
-	defer in.snapMu.Unlock()
-	in.quiesce()
-	defer in.resume()
-	captured, err := m.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	if err := u.UnmarshalBinary(replacement); err != nil {
-		return nil, err
-	}
-	in.mu.Lock()
-	in.err = nil
-	in.mu.Unlock()
-	if in.store != nil {
-		if err := in.store.WriteSnapshot(replacement, in.store.Position()); err != nil {
-			in.store.NoteSnapshotFailure(err)
-			return captured, fmt.Errorf("streamagg: swap applied but not yet durable: %w", err)
-		}
-	}
-	return captured, nil
-}
-
 // ForceSnapshot writes a snapshot of the sink's current quiesced state
 // at the matching WAL position, without waiting for the background
 // snapshotter's trigger. A no-op (nil) without WithDataDir. The serving

@@ -18,7 +18,7 @@
 //	         [-data-dir DIR] [-fsync always|interval|never] [-snapshot-every N]
 //	         [-parallelism N] [-metrics=true|false]
 //	         [-trace-sample P] [-debug-addr host:port]
-//	         [-push-to URL -node-id ID] [-push-every 10s] [-push-mode full|delta]
+//	         [-push-to URL -node-id ID] [-push-every 10s]
 //
 // With -trace-sample P (0 < P <= 1) the server records spans for the
 // sampled fraction of requests — through enqueue, flush, WAL append,
@@ -26,16 +26,17 @@
 // -debug-addr exposes net/http/pprof on a separate listener (off by
 // default; keep it loopback-only).
 //
-// With -push-to the server is a federation edge: it keeps serving local
-// ingest and queries while periodically shipping its summaries to the
-// root's POST /v1/merge endpoint (a bare host:port grows the scheme and
-// path). -node-id must be stable and unique per edge — the root dedups
-// replayed pushes by (node, epoch, seq). Every server is a merge target
-// at /v1/merge, so any server can be an interior node of a deeper tree.
-// In full mode, the default, an interior node pushes upward only its own
-// pipeline, which holds what its own clients sent and none of its
-// children's contributions. In delta mode a child's push merges into
-// that pipeline, so it is forwarded.
+// With -push-to the server is a federation child: it keeps serving local
+// ingest and queries while periodically shipping its whole state to the
+// parent's POST /v1/merge endpoint (a bare host:port grows the scheme
+// and path). -node-id must be stable and unique per node — the parent
+// keeps the latest push per node and dedups replays by (node, epoch,
+// seq). Every server is a merge target at /v1/merge, so any server can
+// be an interior node of a deeper tree: it pushes its whole view, its
+// own pipeline plus every child's latest push, so the top of a tree
+// answers for every node's stream. Trees, not DAGs: a node reachable by
+// two paths is counted twice. A node whose counts must survive its own
+// restart needs -data-dir.
 //
 // Aggregate specs use the same options as the library constructors:
 //

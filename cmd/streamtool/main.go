@@ -23,13 +23,13 @@
 //	    counts, sequence spans, CRC damage), and the replay span a
 //	    recovery would perform.
 //
-//	streamtool push -to URL -node ID [-every 5s] [-mode full|delta]
+//	streamtool push -to URL -node ID [-every 5s]
 //	                [-agg "spec1;spec2"] [-batch 8192] < tokens
 //	    Federation edge without a server: ingest whitespace-separated
-//	    tokens from stdin into a local pipeline and push its summaries
+//	    tokens from stdin into a local pipeline and push its whole state
 //	    to a root aggserve's /v1/merge on an interval (and once more at
-//	    EOF). -node must be stable and unique per edge; the root dedups
-//	    replays by (node, epoch, seq).
+//	    EOF). -node must be stable and unique per edge; the root keeps
+//	    the latest push per node and dedups replays by (node, epoch, seq).
 package main
 
 import (
@@ -131,22 +131,17 @@ func (f flags) str(name, def string) string {
 
 // runPush is a serverless federation edge: it ingests stdin tokens into
 // a local pipeline and ships its summaries to a root's /v1/merge — the
-// batch-job counterpart of aggserve's -push-to. Single-threaded, so
-// delta captures reset the pipeline with a plain checkpoint round trip
-// instead of an Ingestor swap.
+// batch-job counterpart of aggserve's -push-to. Single-threaded, so a
+// capture is a plain checkpoint of the pipeline.
 func runPush(args []string) {
 	f := parseFlags(args)
 	target := f.str("to", "")
 	node := f.str("node", "")
 	if target == "" || node == "" {
-		fmt.Fprintln(os.Stderr, "usage: streamtool push -to URL -node ID [-every 5s] [-mode full|delta] [-agg \"spec1;spec2\"] [-batch 8192] < tokens")
+		fmt.Fprintln(os.Stderr, "usage: streamtool push -to URL -node ID [-every 5s] [-agg \"spec1;spec2\"] [-batch 8192] < tokens")
 		os.Exit(2)
 	}
 	url, err := server.NormalizePushURL(target)
-	if err != nil {
-		fail(err)
-	}
-	mode, err := federation.ParseMode(f.str("mode", "full"))
 	if err != nil {
 		fail(err)
 	}
@@ -166,25 +161,11 @@ func runPush(args []string) {
 	if err := server.AddSpecs(pipe, specs); err != nil {
 		fail(err)
 	}
-	pristine, err := pipe.MarshalBinary()
-	if err != nil {
-		fail(err)
-	}
 	pusher, err := federation.NewPusher(federation.PusherConfig{
 		URL:    url,
 		Node:   node,
-		Mode:   mode,
 		Logger: slog.New(slog.NewTextHandler(os.Stderr, nil)),
-		Source: federation.SourceFunc(func(delta bool) ([]byte, error) {
-			ckpt, err := pipe.MarshalBinary()
-			if err != nil || !delta {
-				return ckpt, err
-			}
-			if err := pipe.UnmarshalBinary(pristine); err != nil {
-				return nil, err
-			}
-			return ckpt, nil
-		}),
+		Source: federation.SourceFunc(pipe.MarshalBinary),
 	})
 	if err != nil {
 		fail(err)
@@ -216,8 +197,8 @@ func runPush(args []string) {
 		fail(fmt.Errorf("final push: %w", err))
 	}
 	pushes++
-	fmt.Printf("pushed %d tokens to %s in %d pushes (node %s, mode %s)\n",
-		total, url, pushes, node, mode)
+	fmt.Printf("pushed %d tokens to %s in %d pushes (node %s)\n",
+		total, url, pushes, node)
 }
 
 // runInspect prints what recovery would see in a data directory: every

@@ -1,15 +1,20 @@
-// Package federation implements edge→root merge fan-in for streamagg
-// deployments: N edge nodes absorb local traffic at full speed and
-// periodically ship their summaries to a root that answers global
-// queries in one hop. The wire unit is the Envelope — a node-tagged,
-// sequence-numbered wrapper around the library's existing checkpoint
-// format — pushed over HTTP to the root's /v1/merge endpoint and folded
-// in with the Merger capability, the mergeable-summaries property
-// [ACH+13] at cluster scope.
+// Package federation implements merge fan-in for streamagg deployments:
+// nodes absorb local traffic at full speed and periodically ship their
+// summaries to a parent that answers global queries in one hop. The
+// wire unit is the Envelope — a node-tagged, sequence-numbered wrapper
+// around the library's existing checkpoint format — pushed over HTTP to
+// the parent's /v1/merge endpoint and folded in with the Merger
+// capability, the mergeable-summaries property [ACH+13] at cluster
+// scope.
 //
-// Delivery is at-least-once: the Pusher retries transient failures, so
-// the root deduplicates by (epoch, seq) per node and a replayed push is
-// a no-op. Two push modes trade off differently — see Mode.
+// Every push carries the node's whole state (ModeFull) and replaces
+// that node's previous part at the parent, so delivery need only be
+// at-least-once: the Pusher retries transient failures, the parent
+// deduplicates by (epoch, seq) per node, and a replayed or lost push
+// costs nothing. An interior node pushes its whole view (its own state
+// and every child's latest part), so any tree of pushes answers at the
+// top like one summary of every node's stream. Trees, not DAGs: a node
+// reachable by two paths is counted twice.
 package federation
 
 import (
@@ -17,15 +22,16 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-
-	streamagg "repro"
 )
 
 // Wire-format limits. MaxNodeID keeps per-node metric labels and maps
-// bounded; MaxPayload matches the server's checkpoint body cap.
+// bounded; MaxPayload matches the server's checkpoint body cap; MaxNodes
+// caps how many node IDs one Root holds a part for, since each part is
+// a whole pipeline kept in memory.
 const (
 	MaxNodeID  = 128
 	MaxPayload = 256 << 20
+	MaxNodes   = 256
 )
 
 // envelopeMagic frames federation envelopes so a truncated or foreign
@@ -34,10 +40,13 @@ var envelopeMagic = []byte("FMv1")
 
 // Wire-level sentinel errors. ErrBadEnvelope covers framing and field
 // validation (HTTP 400); ErrStale covers duplicate and out-of-order
-// pushes the root has already superseded (HTTP 409, safe to drop).
+// pushes the root has already superseded (HTTP 409, safe to drop);
+// ErrCapacity refuses a new node ID once MaxNodes are held (HTTP 429,
+// retried).
 var (
 	ErrBadEnvelope = errors.New("federation: bad merge envelope")
 	ErrStale       = errors.New("federation: stale push")
+	ErrCapacity    = errors.New("federation: node capacity reached")
 )
 
 // Mode selects what an envelope's payload represents.
@@ -47,17 +56,17 @@ const (
 	// ModeFull ships the node's complete summary every push. The root
 	// keeps only the latest full contribution per node, so pushes are
 	// idempotent-by-seq and a lost push costs nothing — the next one
-	// carries everything. The default.
+	// carries everything. The only mode the Pusher sends.
 	ModeFull Mode = iota
-	// ModeDelta ships only what accumulated since the previous push
-	// (the edge resets its state after capturing). The root merges
-	// deltas destructively into its base pipeline; payloads stay small,
-	// but a delta lost after the edge reset is gone, so the Pusher
-	// retries the same captured delta until the root acknowledges it.
+	// ModeDelta payloads hold only what accumulated at the sender since
+	// its previous push; the root merges them destructively into its
+	// base pipeline. No Pusher sends them any more; the root still
+	// lands them so that edges running an older binary keep working
+	// through a rolling upgrade.
 	ModeDelta
 )
 
-// String returns the flag-friendly name ("full", "delta").
+// String returns the mode's name ("full", "delta").
 func (m Mode) String() string {
 	switch m {
 	case ModeFull:
@@ -66,18 +75,6 @@ func (m Mode) String() string {
 		return "delta"
 	}
 	return fmt.Sprintf("Mode(%d)", int(m))
-}
-
-// ParseMode maps "full" or "delta" to the Mode. Its input is a flag
-// value, not wire data, so anything else is streamagg.ErrBadParam.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "full":
-		return ModeFull, nil
-	case "delta":
-		return ModeDelta, nil
-	}
-	return 0, fmt.Errorf("%w: push mode %q (want full or delta)", streamagg.ErrBadParam, s)
 }
 
 // Envelope is one federation push: a checkpoint payload tagged with the

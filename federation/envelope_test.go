@@ -5,8 +5,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-
-	streamagg "repro"
 )
 
 func validEnvelope() *Envelope {
@@ -79,24 +77,6 @@ func TestDecodeEnvelopeRejectsGarbage(t *testing.T) {
 		if _, err := DecodeEnvelope(data); !errors.Is(err, ErrBadEnvelope) {
 			t.Fatalf("%s: DecodeEnvelope = %v, want ErrBadEnvelope", label, err)
 		}
-	}
-}
-
-func TestParseMode(t *testing.T) {
-	for s, want := range map[string]Mode{"full": ModeFull, "delta": ModeDelta} {
-		got, err := ParseMode(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseMode(%q) = %v, %v", s, got, err)
-		}
-		if got.String() != s {
-			t.Fatalf("%v.String() = %q", got, got.String())
-		}
-	}
-	if _, err := ParseMode("bogus"); !errors.Is(err, streamagg.ErrBadParam) {
-		t.Fatalf("ParseMode(bogus): %v", err)
-	}
-	if s := Mode(9).String(); s != "Mode(9)" {
-		t.Fatalf("Mode(9).String() = %q", s)
 	}
 }
 

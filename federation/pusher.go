@@ -16,22 +16,19 @@ import (
 	"repro/trace"
 )
 
-// Source supplies the Pusher's payloads. Capture(false) returns the
-// node's complete current state (ModeFull); Capture(true) returns the
-// state accumulated since the previous capture and atomically resets it
-// (ModeDelta) — the serving layer implements the reset with
-// Ingestor.Swap so no items fall between the cut. Captures happen at
-// quiesced minibatch boundaries, so the payload is always a clean
-// checkpoint.
+// Source supplies the Pusher's payloads: Capture returns the node's
+// complete current state as a pipeline checkpoint, taken at a minibatch
+// boundary. An interior node's state is its whole view, its own
+// pipeline ⊕ every child's latest part.
 type Source interface {
-	Capture(delta bool) ([]byte, error)
+	Capture() ([]byte, error)
 }
 
 // SourceFunc adapts a function to the Source interface.
-type SourceFunc func(delta bool) ([]byte, error)
+type SourceFunc func() ([]byte, error)
 
 // Capture calls f.
-func (f SourceFunc) Capture(delta bool) ([]byte, error) { return f(delta) }
+func (f SourceFunc) Capture() ([]byte, error) { return f() }
 
 // Pusher retry/backoff defaults.
 const (
@@ -51,13 +48,6 @@ type PusherConfig struct {
 	Node string
 	// Source captures the payloads (see Source).
 	Source Source
-	// Mode selects full-state (default) or delta pushes.
-	Mode Mode
-	// Agg, when non-empty, targets a single named member of the root's
-	// pipeline; the Source must then return a single-aggregate
-	// checkpoint. Only meaningful with ModeFull sources that capture
-	// one aggregate.
-	Agg string
 	// Interval between pushes for Run (default 10s).
 	Interval time.Duration
 	// Epoch tags this process lifetime; zero derives it from the start
@@ -95,12 +85,6 @@ type Pusher struct {
 	seq   uint64
 	sleep func(context.Context, time.Duration) error
 
-	// pending holds a captured-but-unacknowledged delta: the edge state
-	// was already reset, so this payload is the only copy and must be
-	// retried under its seq until the root lands or rejects it.
-	pending    []byte
-	pendingSeq uint64
-
 	sent      *metrics.Counter
 	failed    *metrics.Counter
 	retried   *metrics.Counter
@@ -119,9 +103,6 @@ func NewPusher(cfg PusherConfig) (*Pusher, error) {
 	}
 	if cfg.Source == nil {
 		return nil, errors.New("federation: pusher needs a Source")
-	}
-	if cfg.Mode != ModeFull && cfg.Mode != ModeDelta {
-		return nil, fmt.Errorf("federation: unknown push mode %d", int(cfg.Mode))
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultInterval
@@ -173,9 +154,6 @@ func (p *Pusher) Epoch() uint64 { return p.epoch }
 // Interval returns the effective push interval.
 func (p *Pusher) Interval() time.Duration { return p.cfg.Interval }
 
-// Mode returns the configured push mode.
-func (p *Pusher) Mode() Mode { return p.cfg.Mode }
-
 // sleepCtx sleeps d or returns the context's error early.
 func sleepCtx(ctx context.Context, d time.Duration) error {
 	t := time.NewTimer(d)
@@ -190,7 +168,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 
 // Run pushes on every interval tick until ctx is canceled, then returns
 // ctx's error. Push failures are logged and counted, never fatal — the
-// next tick retries (delta payloads survive in pending).
+// next tick captures and pushes the whole state again.
 func (p *Pusher) Run(ctx context.Context) error {
 	ticker := time.NewTicker(p.cfg.Interval)
 	defer ticker.Stop()
@@ -208,9 +186,8 @@ func (p *Pusher) Run(ctx context.Context) error {
 
 // Push captures the source and ships one envelope, retrying transient
 // failures with exponential backoff (a bounded number of attempts; a
-// still-unacknowledged delta carries over to the next Push). In delta
-// mode an empty-handed capture is skipped only by the Source returning
-// an empty payload error — captures themselves are cheap.
+// push that still fails is superseded by the next one, which carries
+// everything).
 func (p *Pusher) Push(ctx context.Context) error {
 	// The push span covers capture through acknowledgment. It joins the
 	// Parent-supplied context (a sampled ingest at this edge) when one
@@ -222,7 +199,6 @@ func (p *Pusher) Push(ctx context.Context) error {
 	}
 	span := p.cfg.Tracer.Start("federation.push", parent)
 	span.SetAttr("node", p.cfg.Node)
-	span.SetAttr("mode", p.cfg.Mode.String())
 	err := p.push(ctx, span)
 	if err != nil {
 		span.SetAttr("error", err.Error())
@@ -232,23 +208,23 @@ func (p *Pusher) Push(ctx context.Context) error {
 }
 
 func (p *Pusher) push(ctx context.Context, span *trace.Span) error {
-	payload, seq, err := p.nextPayload()
+	payload, err := p.cfg.Source.Capture()
 	if err != nil {
 		p.failed.Inc()
 		return fmt.Errorf("federation: capturing push payload: %w", err)
 	}
+	// Seq gaps are fine: each payload carries everything.
+	p.seq++
+	seq := p.seq
 	span.SetInt("seq", int64(seq))
 	span.SetInt("bytes", int64(len(payload)))
 	body, err := EncodeEnvelope(&Envelope{
 		Node:    p.cfg.Node,
 		Epoch:   p.epoch,
 		Seq:     seq,
-		Mode:    p.cfg.Mode,
-		Agg:     p.cfg.Agg,
 		Payload: payload,
 	})
 	if err != nil {
-		p.dropPending()
 		p.failed.Inc()
 		return err
 	}
@@ -265,13 +241,11 @@ func (p *Pusher) push(ctx context.Context, span *trace.Span) error {
 				span.SetAttr("result", "duplicate")
 			}
 			p.lastSeq.Set(int64(seq))
-			p.dropPending()
 			return nil
 		}
 		if permanent := new(permanentError); errors.As(err, &permanent) {
 			// The root will never accept this payload; retrying cannot
-			// help, and in delta mode holding it would wedge the stream.
-			p.dropPending()
+			// help.
 			p.failed.Inc()
 			return err
 		}
@@ -293,41 +267,9 @@ func (p *Pusher) push(ctx context.Context, span *trace.Span) error {
 	}
 }
 
-// Final makes one last push for graceful shutdown. In delta mode a
-// carried-over unacknowledged delta is flushed first, then what
-// accumulated since that capture; full mode pushes the current state
+// Final makes one last push for graceful shutdown: the current state,
 // once more.
-func (p *Pusher) Final(ctx context.Context) error {
-	hadPending := p.pending != nil
-	if err := p.Push(ctx); err != nil {
-		return err
-	}
-	if p.cfg.Mode == ModeDelta && hadPending {
-		return p.Push(ctx)
-	}
-	return nil
-}
-
-// nextPayload returns what to send and under which seq: a pending
-// unacknowledged delta, or a fresh capture under a new seq. Full-mode
-// captures are always fresh (seq gaps are fine — each payload carries
-// everything).
-func (p *Pusher) nextPayload() ([]byte, uint64, error) {
-	if p.pending != nil {
-		return p.pending, p.pendingSeq, nil
-	}
-	payload, err := p.cfg.Source.Capture(p.cfg.Mode == ModeDelta)
-	if err != nil {
-		return nil, 0, err
-	}
-	p.seq++
-	if p.cfg.Mode == ModeDelta {
-		p.pending, p.pendingSeq = payload, p.seq
-	}
-	return payload, p.seq, nil
-}
-
-func (p *Pusher) dropPending() { p.pending, p.pendingSeq = nil, 0 }
+func (p *Pusher) Final(ctx context.Context) error { return p.Push(ctx) }
 
 // permanentError marks a response that retrying the same payload cannot
 // fix (400, or 409 incompatible).
@@ -378,7 +320,8 @@ func (p *Pusher) send(ctx context.Context, body []byte, sc trace.SpanContext) (b
 		return false, &permanentError{msg: fmt.Sprintf(
 			"federation: root rejected push: %s", strings.TrimSpace(string(reply)))}
 	default:
-		// 429, 5xx, and anything unexpected: worth retrying.
+		// 429 (overload, or "capacity": the root holds MaxNodes other
+		// nodes), 5xx, and anything unexpected: worth retrying.
 		return false, fmt.Errorf("federation: root returned %s: %s",
 			resp.Status, strings.TrimSpace(string(reply)))
 	}

@@ -99,16 +99,15 @@ func counter(reg *metrics.Registry, result string) *metrics.Counter {
 }
 
 func staticSource(payload string) Source {
-	return SourceFunc(func(bool) ([]byte, error) { return []byte(payload), nil })
+	return SourceFunc(func() ([]byte, error) { return []byte(payload), nil })
 }
 
 func TestPusherValidation(t *testing.T) {
 	src := staticSource("x")
 	cases := []PusherConfig{
-		{Node: "n", Source: src},                                     // no URL
-		{URL: "http://x/v1/merge", Source: src},                      // no node
-		{URL: "http://x/v1/merge", Node: "n"},                        // no source
-		{URL: "http://x/v1/merge", Node: "n", Source: src, Mode: 99}, // bad mode
+		{Node: "n", Source: src},                // no URL
+		{URL: "http://x/v1/merge", Source: src}, // no node
+		{URL: "http://x/v1/merge", Node: "n"},   // no source
 	}
 	for i, cfg := range cases {
 		if _, err := NewPusher(cfg); err == nil {
@@ -122,8 +121,8 @@ func TestPusherValidation(t *testing.T) {
 	if p.Epoch() == 0 {
 		t.Fatal("zero Epoch was not defaulted")
 	}
-	if p.Interval() != DefaultInterval || p.Mode() != ModeFull {
-		t.Fatalf("defaults: interval %v, mode %v", p.Interval(), p.Mode())
+	if p.Interval() != DefaultInterval {
+		t.Fatalf("default interval %v", p.Interval())
 	}
 }
 
@@ -232,128 +231,49 @@ func TestPusherPermanentRejection(t *testing.T) {
 	}
 }
 
-// TestPusherDeltaPendingSurvives: a delta captured but never
-// acknowledged is the only copy of that data — it must be retried under
-// its original seq on the next Push, and the source must not be
-// re-captured until it lands.
-func TestPusherDeltaPendingSurvives(t *testing.T) {
-	root := &fakeRoot{script: []func(http.ResponseWriter, *Envelope){
-		status(http.StatusInternalServerError), // exhausts all attempts
-		ok,
-	}}
-	var captures int
-	src := SourceFunc(func(delta bool) ([]byte, error) {
-		if !delta {
-			return nil, errors.New("expected delta capture")
-		}
-		captures++
-		return []byte{byte('0' + captures)}, nil
-	})
-	p, reg := newTestPusher(t, root, PusherConfig{Source: src, Mode: ModeDelta})
-	// Make the 500 burn all attempts.
-	root.mu.Lock()
-	root.script = []func(http.ResponseWriter, *Envelope){status(http.StatusInternalServerError)}
-	root.mu.Unlock()
-	if err := p.Push(context.Background()); err == nil {
-		t.Fatal("Push succeeded against an always-500 root")
-	}
-	if captures != 1 {
-		t.Fatalf("captures = %d after failed push", captures)
-	}
-	// Root recovers; the next Push retries the pending delta first.
-	root.mu.Lock()
-	root.script = []func(http.ResponseWriter, *Envelope){ok}
-	root.mu.Unlock()
-	if err := p.Push(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if captures != 1 {
-		t.Fatalf("pending delta was re-captured: %d captures", captures)
-	}
-	envs := root.envelopes()
-	last := envs[len(envs)-1]
-	if last.Seq != 1 || string(last.Payload) != "1" {
-		t.Fatalf("retried delta: %+v", last)
-	}
-	// A fresh Push now captures new data under the next seq.
-	if err := p.Push(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	envs = root.envelopes()
-	last = envs[len(envs)-1]
-	if last.Seq != 2 || string(last.Payload) != "2" {
-		t.Fatalf("post-recovery delta: %+v", last)
-	}
-	if got := counter(reg, "sent").Value(); got != 2 {
-		t.Fatalf("sent counter = %d", got)
-	}
-}
-
-// TestPusherDeltaPermanentRejectionDropsPending: a payload the root will
-// never take must not wedge the delta stream.
-func TestPusherDeltaPermanentRejectionDropsPending(t *testing.T) {
-	root := &fakeRoot{script: []func(http.ResponseWriter, *Envelope){
-		reject(http.StatusBadRequest, ""),
-		ok,
-	}}
-	var captures int
-	src := SourceFunc(func(bool) ([]byte, error) {
-		captures++
-		return []byte{byte('0' + captures)}, nil
-	})
-	p, _ := newTestPusher(t, root, PusherConfig{Source: src, Mode: ModeDelta})
-	if err := p.Push(context.Background()); err == nil {
-		t.Fatal("400 did not surface as an error")
-	}
-	if err := p.Push(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	envs := root.envelopes()
-	last := envs[len(envs)-1]
-	// The poisoned seq-1 payload was dropped; seq 2 carries fresh data.
-	if last.Seq != 2 || string(last.Payload) != "2" {
-		t.Fatalf("after permanent rejection: %+v", last)
-	}
-}
-
-// TestPusherFinal: in delta mode a Final with a carried-over pending
-// delta pushes twice — the pending payload, then what accumulated since.
+// TestPusherFinal: Final is one more ordinary push of the whole state,
+// under the next seq.
 func TestPusherFinal(t *testing.T) {
-	root := &fakeRoot{script: []func(http.ResponseWriter, *Envelope){
-		status(http.StatusInternalServerError),
-	}}
-	var captures int
-	src := SourceFunc(func(bool) ([]byte, error) {
-		captures++
-		return []byte{byte('0' + captures)}, nil
-	})
-	p, _ := newTestPusher(t, root, PusherConfig{Source: src, Mode: ModeDelta})
-	if err := p.Push(context.Background()); err == nil {
-		t.Fatal("expected the seeding push to fail")
+	root := &fakeRoot{script: []func(http.ResponseWriter, *Envelope){ok}}
+	p, _ := newTestPusher(t, root, PusherConfig{Source: staticSource("state")})
+	if err := p.Push(context.Background()); err != nil {
+		t.Fatal(err)
 	}
-	root.mu.Lock()
-	root.script = []func(http.ResponseWriter, *Envelope){ok}
-	root.mu.Unlock()
 	if err := p.Final(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	envs := root.envelopes()
-	tail := envs[len(envs)-2:]
-	if tail[0].Seq != 1 || string(tail[0].Payload) != "1" {
-		t.Fatalf("Final first push: %+v", tail[0])
+	if len(envs) != 2 || envs[1].Seq != 2 || string(envs[1].Payload) != "state" {
+		t.Fatalf("Final: root saw %+v", envs)
 	}
-	if tail[1].Seq != 2 || string(tail[1].Payload) != "2" {
-		t.Fatalf("Final second push: %+v", tail[1])
-	}
+}
 
-	// Full mode: Final is a single ordinary push.
-	root2 := &fakeRoot{script: []func(http.ResponseWriter, *Envelope){ok}}
-	p2, _ := newTestPusher(t, root2, PusherConfig{Source: staticSource("state")})
-	if err := p2.Final(context.Background()); err != nil {
+// TestPusherFailedPushIsSuperseded: a push that exhausts its attempts
+// is not carried over; the next Push captures the source afresh under a
+// new seq, and that payload carries everything.
+func TestPusherFailedPushIsSuperseded(t *testing.T) {
+	root := &fakeRoot{script: []func(http.ResponseWriter, *Envelope){
+		status(http.StatusInternalServerError),
+	}}
+	var captures int
+	src := SourceFunc(func() ([]byte, error) {
+		captures++
+		return []byte{byte('0' + captures)}, nil
+	})
+	p, _ := newTestPusher(t, root, PusherConfig{Source: src})
+	if err := p.Push(context.Background()); err == nil {
+		t.Fatal("Push succeeded against an always-500 root")
+	}
+	root.mu.Lock()
+	root.script = []func(http.ResponseWriter, *Envelope){ok}
+	root.mu.Unlock()
+	if err := p.Push(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(root2.envelopes()); got != 1 {
-		t.Fatalf("full-mode Final pushed %d times", got)
+	envs := root.envelopes()
+	last := envs[len(envs)-1]
+	if captures != 2 || last.Seq != 2 || string(last.Payload) != "2" {
+		t.Fatalf("after a failed push: %d captures, last envelope %+v", captures, last)
 	}
 }
 

@@ -44,9 +44,9 @@ func (e *StaleError) Reason() string {
 }
 
 // nodeState is the root's per-edge bookkeeping: dedup watermark, the
-// node's latest full-mode contribution, and per-node instruments.
+// node's latest full-mode contribution, and per-node instruments. It
+// exists from the node's first applied push on.
 type nodeState struct {
-	seen       bool // a push from this node has been applied
 	epoch, seq uint64
 	lastSeen   atomic.Int64 // unix nanos of the last applied push
 
@@ -62,7 +62,8 @@ type nodeState struct {
 // Root folds federation pushes into a base pipeline and serves a merged
 // global view. Full-mode contributions are kept per node and overlaid
 // on the base (latest-wins, so resends are idempotent); delta-mode
-// pushes merge directly into the base. A full push costs the same
+// pushes, from edges running an older binary, merge directly into the
+// base. At most MaxNodes node IDs are held. A full push costs the same
 // whatever the number of nodes: the overlay keeps the running sum of the
 // contributions' linear members, and the view is built from it lazily,
 // at most once per change. Safe for concurrent use; the base may keep
@@ -90,6 +91,8 @@ type Root struct {
 	stale        *metrics.Counter
 	incompatible *metrics.Counter
 	malformed    *metrics.Counter
+	capacity     *metrics.Counter
+	nodeCount    *metrics.Gauge
 	payloadBytes *metrics.Histogram
 	viewHits     *metrics.Counter
 	viewRebuilds *metrics.Counter
@@ -116,6 +119,9 @@ func NewRoot(base *streamagg.Pipeline, reg *metrics.Registry) *Root {
 	r.stale = reg.Counter(mergesName, mergesHelp, "result", "stale")
 	r.incompatible = reg.Counter(mergesName, mergesHelp, "result", "incompatible")
 	r.malformed = reg.Counter(mergesName, mergesHelp, "result", "malformed")
+	r.capacity = reg.Counter(mergesName, mergesHelp, "result", "capacity")
+	r.nodeCount = reg.Gauge("streamagg_federation_nodes",
+		"Node IDs the root holds a watermark and part for.")
 	r.payloadBytes = reg.Histogram("streamagg_federation_merge_payload_bytes",
 		"Accepted merge payload sizes in bytes.", metrics.UnitItems)
 	r.viewHits = reg.Counter("streamagg_federation_view_cache_hits_total",
@@ -135,34 +141,32 @@ const maxNodeSeries = 64
 // overflowNodeLabel is the shared label value for nodes past the cap.
 const overflowNodeLabel = "overflow"
 
-// node returns (creating if needed) the state for a node ID, wiring its
-// per-node instruments on first sight. Caller holds r.mu.
-func (r *Root) node(id string) *nodeState {
-	ns, ok := r.nodes[id]
-	if !ok {
-		label := id
-		if len(r.nodes) >= maxNodeSeries {
-			label = overflowNodeLabel
-		}
-		ns = &nodeState{
-			lastSeq: r.reg.Gauge("streamagg_federation_node_last_seq",
-				"Last applied push seq per edge node.", "node", label),
-		}
-		if label == id {
-			// Per-node staleness only below the cap: GetOrCreate keeps
-			// the first registered fn, so a shared overflow series
-			// would pin whichever node happened to arrive first.
-			r.reg.GaugeFunc("streamagg_federation_node_staleness_seconds",
-				"Seconds since the last applied push per edge node.", func() float64 {
-					last := ns.lastSeen.Load()
-					if last == 0 {
-						return 0
-					}
-					return time.Duration(r.now().UnixNano() - last).Seconds()
-				}, "node", label)
-		}
-		r.nodes[id] = ns
+// addNode creates the state for a node ID whose first push just landed,
+// wiring its per-node instruments. Caller holds r.mu.
+func (r *Root) addNode(id string) *nodeState {
+	label := id
+	if len(r.nodes) >= maxNodeSeries {
+		label = overflowNodeLabel
 	}
+	ns := &nodeState{
+		lastSeq: r.reg.Gauge("streamagg_federation_node_last_seq",
+			"Last applied push seq per edge node.", "node", label),
+	}
+	if label == id {
+		// Per-node staleness only below the cap: GetOrCreate keeps
+		// the first registered fn, so a shared overflow series
+		// would pin whichever node happened to arrive first.
+		r.reg.GaugeFunc("streamagg_federation_node_staleness_seconds",
+			"Seconds since the last applied push per edge node.", func() float64 {
+				last := ns.lastSeen.Load()
+				if last == 0 {
+					return 0
+				}
+				return time.Duration(r.now().UnixNano() - last).Seconds()
+			}, "node", label)
+	}
+	r.nodes[id] = ns
+	r.nodeCount.Set(int64(len(r.nodes)))
 	return ns
 }
 
@@ -192,8 +196,11 @@ func decodeContribution(env *Envelope) (*streamagg.Pipeline, error) {
 // ErrStale (duplicate or superseded — drop, 409); an error wrapping
 // streamagg.ErrIncompatibleMerge (payload can never merge into this
 // root — 409); an error wrapping ErrBadEnvelope (undecodable payload —
-// 400). The dedup watermark advances only when a push actually lands,
-// so a failed push may be retried under the same seq.
+// 400); an error wrapping ErrCapacity (a new node ID while MaxNodes are
+// held — 429, retried; known nodes always land). The dedup watermark
+// advances only when a push actually lands, so a failed push may be
+// retried under the same seq, and a node ID takes a slot only once one
+// of its pushes lands.
 func (r *Root) Apply(env *Envelope) error {
 	if env == nil {
 		return fmt.Errorf("%w: nil envelope", ErrBadEnvelope)
@@ -204,8 +211,13 @@ func (r *Root) Apply(env *Envelope) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	ns := r.node(env.Node)
-	if ns.seen &&
+	ns := r.nodes[env.Node]
+	if ns == nil && len(r.nodes) >= MaxNodes {
+		r.capacity.Inc()
+		return fmt.Errorf("%w: %d nodes already push here; node %q refused",
+			ErrCapacity, MaxNodes, env.Node)
+	}
+	if ns != nil &&
 		(env.Epoch < ns.epoch || (env.Epoch == ns.epoch && env.Seq <= ns.seq)) {
 		serr := &StaleError{
 			Duplicate: env.Epoch == ns.epoch && env.Seq == ns.seq,
@@ -224,25 +236,28 @@ func (r *Root) Apply(env *Envelope) error {
 		r.malformed.Inc()
 		return err
 	}
-	switch env.Mode {
-	case ModeDelta:
-		if err := r.base.Merge(contrib); err != nil {
-			r.incompatible.Inc()
-			return err
-		}
-		r.ver++
-	default: // ModeFull: replace the node's contribution, latest wins.
-		// Put checks the contribution against the base before anything
-		// changes, so a rejected push leaves the overlay, the cached
-		// view and the watermark as they were.
-		if err := r.overlay.Put(env.Node, contrib); err != nil {
-			r.incompatible.Inc()
-			return err
-		}
-		ns.contrib = contrib
-		r.ver++
+	full := env.Mode == ModeFull
+	if full {
+		// Replace the node's contribution, latest wins. Put checks the
+		// contribution against the base before anything changes, so a
+		// rejected push leaves the overlay, the cached view and the
+		// watermark as they were.
+		err = r.overlay.Put(env.Node, contrib)
+	} else {
+		err = r.base.Merge(contrib)
 	}
-	ns.seen, ns.epoch, ns.seq = true, env.Epoch, env.Seq
+	if err != nil {
+		r.incompatible.Inc()
+		return err
+	}
+	r.ver++
+	if ns == nil {
+		ns = r.addNode(env.Node)
+	}
+	if full {
+		ns.contrib = contrib
+	}
+	ns.epoch, ns.seq = env.Epoch, env.Seq
 	ns.lastSeen.Store(r.now().UnixNano())
 	ns.lastSeq.Set(int64(env.Seq))
 	r.applied.Inc()
@@ -254,7 +269,8 @@ func (r *Root) Apply(env *Envelope) error {
 // no full-mode contributions exist (delta pushes land in the base
 // directly), otherwise the cached clone(base) ⊕ contributions, rebuilt
 // when a push or local ingest invalidated it. The returned pipeline is
-// read-only for the caller.
+// read-only for the caller. The clone holds the base's batch lock, so
+// the view is at one of the base's minibatch boundaries.
 func (r *Root) View() *streamagg.Pipeline {
 	r.mu.Lock()
 	defer r.mu.Unlock()

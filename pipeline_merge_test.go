@@ -377,46 +377,3 @@ func TestUnmarshalAggregateHelpers(t *testing.T) {
 		t.Fatalf("restored pipeline: len %d, stream %d", back2.Len(), back2.StreamLen())
 	}
 }
-
-// TestIngestorSwap: Swap returns everything absorbed so far and the
-// sink continues from the replacement — the federation delta reset.
-func TestIngestorSwap(t *testing.T) {
-	pipe := mergePipeline(t)
-	pristine := checkpointOf(t, pipe)
-	in, err := NewIngestor(pipe, WithBatchSize(1024))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer in.Close()
-	stream := workload.Zipf(81, 20_000, 1.2, 1<<14)
-	if _, err := in.PutBatch(stream); err != nil {
-		t.Fatal(err)
-	}
-	if err := in.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	captured, err := in.Swap(pristine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	delta, err := UnmarshalPipeline(captured)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if delta.StreamLen() != int64(len(stream)) {
-		t.Fatalf("captured delta StreamLen = %d, want %d", delta.StreamLen(), len(stream))
-	}
-	if pipe.StreamLen() != 0 {
-		t.Fatalf("sink StreamLen = %d after swap, want 0", pipe.StreamLen())
-	}
-	// The sink keeps ingesting on top of the replacement.
-	if _, err := in.PutBatch(stream[:100]); err != nil {
-		t.Fatal(err)
-	}
-	if err := in.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if pipe.StreamLen() != 100 {
-		t.Fatalf("sink StreamLen = %d after post-swap ingest, want 100", pipe.StreamLen())
-	}
-}

@@ -354,19 +354,24 @@ func TestServerFederationEndToEnd(t *testing.T) {
 	}
 }
 
-// TestServerFederationDelta: delta pushes merge destructively into the
-// root's base, the edge resets between captures, and a duplicate replay
-// of a delta — the dangerous one, since re-merging would double-count —
-// leaves the root checkpoint byte-identical.
+// TestServerFederationDelta: a delta push, as an edge running an older
+// binary still sends it, merges destructively into the root's base, and
+// a duplicate replay of a delta — the dangerous one, since re-merging
+// would double-count — leaves the root checkpoint byte-identical.
 func TestServerFederationDelta(t *testing.T) {
 	_, rootURL := fedServer(t, 0)
-	edge, _ := fedServer(t, 0)
 	client := &http.Client{}
 	oracle := fedTestPipeline(t, 0)
 
-	push := func(seq uint64) []byte {
+	// push sends a hand-made delta: the checkpoint of a fresh pipeline
+	// fed only this stream, as the older edge captured it.
+	push := func(seq uint64, stream []uint64) []byte {
 		t.Helper()
-		payload, err := edge.Capture(true)
+		delta := fedTestPipeline(t, 0)
+		if err := delta.ProcessBatch(stream); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := delta.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -390,15 +395,8 @@ func TestServerFederationDelta(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-
-	feedServer(t, edge, streamA)
-	push(1)
-	// The capture reset the edge: only new items ride the next delta.
-	if got := edge.Pipeline().StreamLen(); got != 0 {
-		t.Fatalf("edge StreamLen = %d after delta capture, want 0", got)
-	}
-	feedServer(t, edge, streamB)
-	lastEnv := push(2)
+	push(1, streamA)
+	lastEnv := push(2, streamB)
 
 	for _, item := range []uint64{streamA[0], streamB[0], 1, 999} {
 		got := queryInt64(t, client,
@@ -426,5 +424,74 @@ func TestServerFederationDelta(t *testing.T) {
 	}
 	if got := queryInt64(t, client, rootURL+"/v1/cm/value", "value"); got != 100_000 {
 		t.Fatalf("cm.value = %d after replay, want 100000", got)
+	}
+}
+
+// TestServerFederationNodeCap: a root holds at most federation.MaxNodes
+// node IDs. A push from one more new ID is a 429 with reason
+// "capacity", which the pusher retries; known nodes keep landing.
+func TestServerFederationNodeCap(t *testing.T) {
+	pipe := func() *streamagg.Pipeline {
+		p := streamagg.NewPipeline()
+		if _, err := p.Add("cm", streamagg.KindCountMin, streamagg.WithEpsilon(0.01), streamagg.WithSeed(7)); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	srv, err := New(pipe())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Shutdown(context.Background()) })
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(hs.Close)
+	client := hs.Client()
+	edge := pipe()
+	if err := edge.ProcessBatch([]uint64{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := edge.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	push := func(node string, seq uint64) (int, []byte) {
+		t.Helper()
+		env, err := federation.EncodeEnvelope(&federation.Envelope{
+			Node: node, Epoch: 1, Seq: seq, Payload: payload,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return post(t, client, hs.URL+"/v1/merge", "application/octet-stream", env)
+	}
+	for i := 0; i < federation.MaxNodes; i++ {
+		if code, resp := push(fmt.Sprintf("edge-%03d", i), 1); code != http.StatusOK {
+			t.Fatalf("node %d of %d: %d %s", i, federation.MaxNodes, code, resp)
+		}
+	}
+	code, resp := push("one-too-many", 1)
+	var rej struct {
+		Reason string `json:"reason"`
+	}
+	if err := json.Unmarshal(resp, &rej); code != http.StatusTooManyRequests || err != nil || rej.Reason != "capacity" {
+		t.Fatalf("node %d: %d %s, want 429 reason capacity", federation.MaxNodes+1, code, resp)
+	}
+	if code, resp := push("edge-000", 2); code != http.StatusOK {
+		t.Fatalf("known node past the cap: %d %s", code, resp)
+	}
+	if got, want := queryInt64(t, client, hs.URL+"/v1/cm/value", "value"), int64(3*federation.MaxNodes); got != want {
+		t.Fatalf("cm.value = %d, want %d", got, want)
+	}
+	var scrape bytes.Buffer
+	if err := srv.Metrics().WriteText(&scrape); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("streamagg_federation_nodes %d\n", federation.MaxNodes),
+		`streamagg_federation_merges_total{result="capacity"} 1`,
+	} {
+		if !strings.Contains(scrape.String(), want) {
+			t.Fatalf("/metrics missing %q", want)
+		}
 	}
 }

@@ -38,7 +38,7 @@ func TestRegisterFlagsReachEveryField(t *testing.T) {
 		"-data-dir", "dir", "-fsync", "never", "-snapshot-every", "3",
 		"-parallelism", "2", "-metrics=false", "-trace-sample", "0.5",
 		"-debug-addr", "localhost:6060", "-push-to", "root:8080",
-		"-push-every", "1s", "-node-id", "edge", "-push-mode", "delta")
+		"-push-every", "1s", "-node-id", "edge")
 	dv, gv := reflect.ValueOf(def), reflect.ValueOf(got)
 	for i := 0; i < dv.NumField(); i++ {
 		name := dv.Type().Field(i).Name

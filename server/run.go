@@ -72,15 +72,14 @@ type RunConfig struct {
 	// profiling surface is never exposed where the data plane is.
 	DebugAddr string
 
-	// Federation push knobs: a non-empty PushTo turns this server into
-	// an edge node that periodically ships its state to a root's
-	// /v1/merge URL. NodeID must be stable and unique per edge
-	// (required with PushTo); PushEvery defaults to 10s; PushMode is
-	// "full" (default) or "delta".
+	// Federation push knobs: a non-empty PushTo makes this server a
+	// child that periodically ships its whole state (its view, if
+	// children push to it) to a parent's /v1/merge URL. NodeID must be
+	// stable and unique per node (required with PushTo); PushEvery
+	// defaults to 10s.
 	PushTo    string
 	PushEvery time.Duration
 	NodeID    string
-	PushMode  string
 
 	// Logger receives progress records; nil discards them.
 	Logger *slog.Logger
@@ -111,7 +110,6 @@ func RegisterFlags(fs *flag.FlagSet) func() RunConfig {
 	fs.StringVar(&cfg.PushTo, "push-to", "", "federation root URL to push summaries to (host:port or full /v1/merge URL)")
 	fs.DurationVar(&cfg.PushEvery, "push-every", 0, "interval between federation pushes (default 10s; needs -push-to)")
 	fs.StringVar(&cfg.NodeID, "node-id", "", "stable unique edge identity for federation dedup (required with -push-to)")
-	fs.StringVar(&cfg.PushMode, "push-mode", "", "federation push mode: full (idempotent, default) or delta (small payloads)")
 	return func() RunConfig {
 		cfg.NoMetrics = !*metricsOn
 		latencySet := false
@@ -154,31 +152,22 @@ func NormalizePushURL(raw string) (string, error) {
 	return u.String(), nil
 }
 
-// pushTarget checks the federation push knobs and returns the merge URL
-// and mode, or "" when cfg.PushTo is empty. Run calls it before New
-// takes the data directory's lock.
-func (cfg RunConfig) pushTarget() (string, federation.Mode, error) {
+// pushTarget checks the federation push knobs and returns the merge
+// URL, or "" when cfg.PushTo is empty. Run calls it before New takes
+// the data directory's lock.
+func (cfg RunConfig) pushTarget() (string, error) {
 	if cfg.PushTo == "" {
-		if cfg.PushEvery != 0 || cfg.NodeID != "" || cfg.PushMode != "" {
-			return "", 0, fmt.Errorf("%w: -push-every, -node-id and -push-mode require -push-to",
+		if cfg.PushEvery != 0 || cfg.NodeID != "" {
+			return "", fmt.Errorf("%w: -push-every and -node-id require -push-to",
 				streamagg.ErrBadParam)
 		}
-		return "", 0, nil
+		return "", nil
 	}
 	if cfg.NodeID == "" || len(cfg.NodeID) > federation.MaxNodeID {
-		return "", 0, fmt.Errorf("%w: -push-to requires -node-id (a stable, unique edge identity of 1..%d bytes)",
+		return "", fmt.Errorf("%w: -push-to requires -node-id (a stable, unique edge identity of 1..%d bytes)",
 			streamagg.ErrBadParam, federation.MaxNodeID)
 	}
-	target, err := NormalizePushURL(cfg.PushTo)
-	if err != nil {
-		return "", 0, err
-	}
-	modeStr := cfg.PushMode
-	if modeStr == "" {
-		modeStr = "full"
-	}
-	mode, err := federation.ParseMode(modeStr)
-	return target, mode, err
+	return NormalizePushURL(cfg.PushTo)
 }
 
 // debugServer serves net/http/pprof on addr. The default mux is
@@ -207,7 +196,7 @@ func Run(ctx context.Context, cfg RunConfig) error {
 		return fmt.Errorf("%w: trace sample rate %v (want in [0, 1])",
 			streamagg.ErrBadParam, cfg.TraceSample)
 	}
-	pushURL, pushMode, err := cfg.pushTarget()
+	pushURL, err := cfg.pushTarget()
 	if err != nil {
 		return err
 	}
@@ -265,7 +254,6 @@ func Run(ctx context.Context, cfg RunConfig) error {
 			URL:      pushURL,
 			Node:     cfg.NodeID,
 			Source:   srv,
-			Mode:     pushMode,
 			Interval: cfg.PushEvery,
 			Registry: srv.Metrics(),
 			Logger:   logger,
@@ -279,7 +267,7 @@ func Run(ctx context.Context, cfg RunConfig) error {
 			defer close(pushDone)
 			logger.Info("pushing",
 				"target", cfg.PushTo, "interval", pusher.Interval(), "node", cfg.NodeID,
-				"mode", pusher.Mode().String(), "epoch", pusher.Epoch())
+				"epoch", pusher.Epoch())
 			_ = pusher.Run(pushCtx)
 		}()
 	}

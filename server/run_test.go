@@ -40,8 +40,7 @@ func TestRunErrorReleasesDataDir(t *testing.T) {
 		{"push-to without node-id", RunConfig{PushTo: root.URL}, true},
 		{"node-id too long", RunConfig{PushTo: root.URL, NodeID: strings.Repeat("n", federation.MaxNodeID+1)}, true},
 		{"push-to without host", RunConfig{PushTo: "http://", NodeID: "edge"}, true},
-		{"bad push mode", RunConfig{PushTo: root.URL, NodeID: "edge", PushMode: "bogus"}, true},
-		{"push flags without push-to", RunConfig{NodeID: "edge", PushEvery: time.Second, PushMode: "delta"}, true},
+		{"push flags without push-to", RunConfig{NodeID: "edge", PushEvery: time.Second}, true},
 		{"listener error with a pusher", RunConfig{Addr: busy.Addr().String(),
 			PushTo: root.URL, NodeID: "edge", PushEvery: 5 * time.Millisecond}, false},
 	}

@@ -17,8 +17,10 @@
 //	GET  /v1/{agg}/quantile   ?q=F
 //	GET  /v1/stats            pipeline + ingest counters
 //	GET  /v1/persist/stats    durability (WAL + snapshot) counters
-//	POST /v1/checkpoint       drained, atomic; returns the envelope (octet-stream)
+//	POST /v1/checkpoint       drained, atomic; returns the envelope (octet-stream);
+//	                          at a federation root, the local base only
 //	POST /v1/restore          body = a checkpoint envelope
+//	POST /v1/merge            body = a federation envelope (see handleMerge)
 //	GET  /healthz
 //
 // With a data directory configured (WithDataDir / -data-dir), the server
@@ -83,12 +85,9 @@ type Server struct {
 	lastIngest atomic.Pointer[trace.SpanContext]
 	notReady   atomic.Pointer[string]
 
-	// Federation: fed folds POST /v1/merge pushes from edge nodes into
-	// the pipeline and serves the merged global view to queries;
-	// pristine is the pipeline's construction-time checkpoint, the
-	// reset target for delta-mode pushes (Capture).
-	fed      *federation.Root
-	pristine []byte
+	// Federation: fed folds POST /v1/merge pushes from child nodes
+	// into the merged global view that queries and Capture read.
+	fed *federation.Root
 
 	// Bounded-ingest validation: the tightest per-value bound among the
 	// pipeline's members (MaxUint64 when none is bounded), and who
@@ -133,15 +132,6 @@ func New(pipe *streamagg.Pipeline, opts ...streamagg.Option) (*Server, error) {
 	if pipe == nil {
 		return nil, fmt.Errorf("%w: nil pipeline", streamagg.ErrBadParam)
 	}
-	// Capture the empty-pipeline checkpoint before the Ingestor runs
-	// durable recovery into pipe: this is what a delta-mode Capture
-	// swaps back in, so a delta is always "everything since the last
-	// push", never "everything since the process started minus the
-	// recovered state".
-	pristine, err := pipe.MarshalBinary()
-	if err != nil {
-		return nil, fmt.Errorf("checkpointing pristine pipeline: %w", err)
-	}
 	// The server's defaults go first so caller-supplied options (applied
 	// later) win; either way the Ingestor tells us which registry and
 	// tracer it actually publishes to. The default tracer samples
@@ -156,13 +146,12 @@ func New(pipe *streamagg.Pipeline, opts ...streamagg.Option) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		pipe:     pipe,
-		ing:      ing,
-		mux:      http.NewServeMux(),
-		start:    time.Now(),
-		reg:      ing.MetricsRegistry(),
-		tracer:   ing.Tracer(),
-		pristine: pristine,
+		pipe:   pipe,
+		ing:    ing,
+		mux:    http.NewServeMux(),
+		start:  time.Now(),
+		reg:    ing.MetricsRegistry(),
+		tracer: ing.Tracer(),
 	}
 	s.metricsOn.Store(true)
 	s.computeBound()
@@ -443,29 +432,30 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 // Federation returns the merge fan-in target behind POST /v1/merge.
 func (s *Server) Federation() *federation.Root { return s.fed }
 
-// Capture implements federation.Source for this server's pipeline:
-// Capture(false) checkpoints the current state at a quiesced minibatch
-// boundary; Capture(true) additionally resets the pipeline to its
-// construction-time (pristine) state in the same quiesced step, so the
-// returned delta exists only in the outbound payload.
-func (s *Server) Capture(delta bool) ([]byte, error) {
-	if delta {
-		// A delta reset rebuilds the aggregates; the value bound is
-		// config-derived and the pristine state shares it, so no
-		// computeBound republish is needed — but hold the write lock so
-		// no ingest validates against a pipeline mid-swap.
-		s.boundMu.Lock()
-		defer s.boundMu.Unlock()
-		return s.ing.Swap(s.pristine)
+// Capture implements federation.Source: what this node pushes to its
+// parent, at a minibatch boundary. A node no child pushes to sends its
+// pipeline's checkpoint and builds no view. An interior node sends its
+// whole view, its pipeline ⊕ every child's latest part, so the leaves'
+// data reaches the top of a tree; the parent replaces this node's part
+// wholesale, so the push stays idempotent.
+func (s *Server) Capture() ([]byte, error) {
+	// Drain what is queued into the pipeline first, as Checkpoint does.
+	// A sticky batch error is the ingest path's to report (Checkpoint
+	// ignores it too), so it does not stop the push.
+	_ = s.ing.Flush()
+	view := s.fed.View()
+	if view == s.pipe {
+		return s.ing.Checkpoint()
 	}
-	return s.ing.Checkpoint()
+	return view.MarshalBinary()
 }
 
 // handleMerge lands one federation push (see the federation package for
 // envelope and dedup semantics). Replies: 200 applied; 409 with a
 // machine-readable "reason" of "duplicate"/"stale" (already landed,
-// safe to drop) or "incompatible" (will never land); 400 for bodies
-// that don't decode.
+// safe to drop) or "incompatible" (will never land); 429 with reason
+// "capacity" for a new node past federation.MaxNodes (retried); 400 for
+// bodies that don't decode.
 func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(w, r, maxCheckpointBody)
 	if !ok {
@@ -504,6 +494,11 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 				"error":  err.Error(),
 				"reason": "incompatible",
 			})
+		case errors.Is(err, federation.ErrCapacity):
+			writeJSON(w, http.StatusTooManyRequests, map[string]any{
+				"error":  err.Error(),
+				"reason": "capacity",
+			})
 		case errors.Is(err, federation.ErrBadEnvelope), errors.Is(err, streamagg.ErrBadParam):
 			writeError(w, http.StatusBadRequest, err)
 		default:
@@ -512,11 +507,11 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if env.Mode == federation.ModeDelta {
-		// A delta merged into the base outside the WAL'd ingest path;
-		// snapshot so a crash doesn't silently drop an acknowledged
-		// push. Best-effort, like the background snapshotter: on
-		// failure the push is still applied in memory and the store
-		// records the failure.
+		// A delta from an older edge merged into the base outside the
+		// WAL'd ingest path; snapshot so a crash doesn't silently drop
+		// an acknowledged push. Best-effort, like the background
+		// snapshotter: on failure the push is still applied in memory
+		// and the store records the failure.
 		_ = s.ing.ForceSnapshot()
 	}
 	writeJSON(w, http.StatusOK, map[string]any{

@@ -258,7 +258,6 @@ func TestServerFederationTraceSingleID(t *testing.T) {
 		URL:    rootURL + "/v1/merge",
 		Node:   "edge-traced",
 		Source: edgeSrv,
-		Mode:   federation.ModeFull,
 		Tracer: edgeSrv.Tracer(),
 		Parent: edgeSrv.LastIngestContext,
 	})
