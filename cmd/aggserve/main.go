@@ -35,8 +35,10 @@
 // be an interior node of a deeper tree: it pushes its whole view, its
 // own pipeline plus every child's latest push, so the top of a tree
 // answers for every node's stream. Trees, not DAGs: a node reachable by
-// two paths is counted twice. A node whose counts must survive its own
-// restart needs -data-dir.
+// two paths is counted twice, and a cycle (A pushes to B, B to A) makes
+// counts grow on every push without limit; a push from the server's own
+// -node-id is refused with 409 "cycle". A node whose counts must
+// survive its own restart needs -data-dir.
 //
 // Aggregate specs use the same options as the library constructors:
 //

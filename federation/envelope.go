@@ -14,7 +14,10 @@
 // costs nothing. An interior node pushes its whole view (its own state
 // and every child's latest part), so any tree of pushes answers at the
 // top like one summary of every node's stream. Trees, not DAGs: a node
-// reachable by two paths is counted twice.
+// reachable by two paths is counted twice, and a cycle (a push target
+// that leads back to the pushing node) feeds each node's view back into
+// itself, so counts grow on every push without limit. The server
+// refuses a push from its own node ID; longer cycles it cannot see.
 package federation
 
 import (
@@ -65,17 +68,6 @@ const (
 	// through a rolling upgrade.
 	ModeDelta
 )
-
-// String returns the mode's name ("full", "delta").
-func (m Mode) String() string {
-	switch m {
-	case ModeFull:
-		return "full"
-	case ModeDelta:
-		return "delta"
-	}
-	return fmt.Sprintf("Mode(%d)", int(m))
-}
 
 // Envelope is one federation push: a checkpoint payload tagged with the
 // origin node and a monotonically increasing (Epoch, Seq) pair. Seq

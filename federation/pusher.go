@@ -279,7 +279,7 @@ func (e *permanentError) Error() string { return e.msg }
 
 // mergeReject is the JSON body the server returns with 4xx on
 // /v1/merge; Reason distinguishes already-landed ("duplicate",
-// "stale") from never-landing ("incompatible").
+// "stale") from never-landing ("incompatible", "cycle").
 type mergeReject struct {
 	Error  string `json:"error"`
 	Reason string `json:"reason"`

@@ -169,7 +169,7 @@ func checkRootHistory(t *testing.T, seed int64, steps int) {
 		seq[env.Node]++
 		env.Epoch, env.Seq = 1, seq[env.Node]
 		if err := root.Apply(env); err != nil {
-			t.Fatalf("seed %d: apply %s from %s: %v", seed, env.Mode, env.Node, err)
+			t.Fatalf("seed %d: apply mode %d from %s: %v", seed, env.Mode, env.Node, err)
 		}
 	}
 	for step := 0; step < steps; step++ {

@@ -495,3 +495,43 @@ func TestServerFederationNodeCap(t *testing.T) {
 		}
 	}
 }
+
+// TestServerRefusesItsOwnPush: a server that pushes as node "self"
+// refuses a merge from "self" with 409 "cycle" (its push target led
+// back to it, and each round would add its view to itself again),
+// leaves its answers as they were, and still lands other nodes.
+func TestServerRefusesItsOwnPush(t *testing.T) {
+	srv, url := fedServer(t, 0)
+	srv.node = "self"
+	feedServer(t, srv, []uint64{1, 2, 3})
+	payload, err := srv.Capture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	push := func(node string) (int, []byte) {
+		t.Helper()
+		env, err := federation.EncodeEnvelope(&federation.Envelope{
+			Node: node, Epoch: 1, Seq: 1, Payload: payload,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return post(t, http.DefaultClient, url+"/v1/merge", "application/octet-stream", env)
+	}
+	code, resp := push("self")
+	var rej struct {
+		Reason string `json:"reason"`
+	}
+	if err := json.Unmarshal(resp, &rej); code != http.StatusConflict || err != nil || rej.Reason != "cycle" {
+		t.Fatalf("own push: %d %s, want 409 reason cycle", code, resp)
+	}
+	if got := queryInt64(t, http.DefaultClient, url+"/v1/cm/value", "value"); got != 3 {
+		t.Fatalf("cm.value = %d after the refused push, want 3", got)
+	}
+	if code, resp := push("other"); code != http.StatusOK {
+		t.Fatalf("other node: %d %s", code, resp)
+	}
+	if got := queryInt64(t, http.DefaultClient, url+"/v1/cm/value", "value"); got != 6 {
+		t.Fatalf("cm.value = %d, want 6", got)
+	}
+}

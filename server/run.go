@@ -215,6 +215,7 @@ func Run(ctx context.Context, cfg RunConfig) error {
 	if err != nil {
 		return err
 	}
+	srv.node = cfg.NodeID
 	srv.SetMetricsEnabled(!cfg.NoMetrics)
 	srv.Tracer().SetSampleRate(cfg.TraceSample)
 	if cfg.TraceSample > 0 {

@@ -88,6 +88,10 @@ type Server struct {
 	// Federation: fed folds POST /v1/merge pushes from child nodes
 	// into the merged global view that queries and Capture read.
 	fed *federation.Root
+	// node is this server's own federation node ID when it pushes to a
+	// parent (Run sets it from -node-id); a push that carries it back
+	// is refused.
+	node string
 
 	// Bounded-ingest validation: the tightest per-value bound among the
 	// pipeline's members (MaxUint64 when none is bounded), and who
@@ -433,27 +437,25 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 func (s *Server) Federation() *federation.Root { return s.fed }
 
 // Capture implements federation.Source: what this node pushes to its
-// parent, at a minibatch boundary. A node no child pushes to sends its
-// pipeline's checkpoint and builds no view. An interior node sends its
-// whole view, its pipeline ⊕ every child's latest part, so the leaves'
-// data reaches the top of a tree; the parent replaces this node's part
-// wholesale, so the push stays idempotent.
+// parent. It sends the node's whole view, its pipeline ⊕ every child's
+// latest part, so the leaves' data reaches the top of a tree; a node no
+// child pushes to has the pipeline itself as its view, so it builds
+// nothing. The parent replaces this node's part wholesale, so the push
+// stays idempotent. Marshalling takes the pipeline's batch lock, so the
+// bytes are at a minibatch boundary.
 func (s *Server) Capture() ([]byte, error) {
-	// Drain what is queued into the pipeline first, as Checkpoint does.
-	// A sticky batch error is the ingest path's to report (Checkpoint
-	// ignores it too), so it does not stop the push.
+	// Drain what is queued into the pipeline first. A sticky batch error
+	// is the ingest path's to report (Checkpoint ignores it too), so it
+	// does not stop the push.
 	_ = s.ing.Flush()
-	view := s.fed.View()
-	if view == s.pipe {
-		return s.ing.Checkpoint()
-	}
-	return view.MarshalBinary()
+	return s.fed.View().MarshalBinary()
 }
 
 // handleMerge lands one federation push (see the federation package for
 // envelope and dedup semantics). Replies: 200 applied; 409 with a
 // machine-readable "reason" of "duplicate"/"stale" (already landed,
-// safe to drop) or "incompatible" (will never land); 429 with reason
+// safe to drop), "incompatible" (will never land) or "cycle" (the push
+// came from this server's own node ID, see Run); 429 with reason
 // "capacity" for a new node past federation.MaxNodes (retried); 400 for
 // bodies that don't decode.
 func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
@@ -464,6 +466,15 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 	env, err := federation.DecodeEnvelope(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	if s.node != "" && env.Node == s.node {
+		// This server's own view coming back to it: the push target
+		// leads back here, and every round would add the view to itself.
+		writeJSON(w, http.StatusConflict, map[string]any{
+			"error":  fmt.Sprintf("federation: push from this server's own node ID %q (a push cycle)", env.Node),
+			"reason": "cycle",
+		})
 		return
 	}
 	// When the pushing edge sampled this trace, the middleware joined it
